@@ -226,10 +226,7 @@ def _cmd_estimate(args) -> int:
                           method=args.method, workers=workers, z=args.z)
     wall = time.perf_counter() - start
     oracle_value = _kernel_oracle(selector, spectrum) if args.oracle else None
-    rec = SweepRecord(dimension=args.n, kernel_label=spectrum.label, k=selector.k,
-                      method=est.method, trials=est.trials, negatives=est.negatives,
-                      p_hat=est.p_hat, ci_low=est.ci_low, ci_high=est.ci_high,
-                      seed=est.seed, wall_time_s=wall)
+    rec = SweepRecord.from_estimate(spectrum, selector.k, est, wall)
     _emit(_records_text([rec], [oracle_value], args.format, single=True), args.out)
     return 0
 
@@ -355,10 +352,7 @@ def _cmd_state(args) -> int:
     start = time.perf_counter()
     est = estimate_state(rho, spectrum, args.trials, args.seed, workers=workers, z=args.z)
     wall = time.perf_counter() - start
-    rec = SweepRecord(dimension=args.n, kernel_label=spectrum.label, k=selector.k,
-                      method=est.method, trials=est.trials, negatives=est.negatives,
-                      p_hat=est.p_hat, ci_low=est.ci_low, ci_high=est.ci_high,
-                      seed=est.seed, wall_time_s=wall)
+    rec = SweepRecord.from_estimate(spectrum, selector.k, est, wall)
     _emit(_records_text([rec], [None], args.format, single=True), args.out)
     return 0
 
@@ -398,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--seed", type=int, default=0)
     p_est.add_argument("--method", choices=["fast-gamma", "full-ginibre"], default="fast-gamma")
     p_est.add_argument("--workers", type=int, default=None,
-                       help="process count (default: WIGNERLAB_WORKERS or 1)")
+                       help="thread count, capped at the CPU count "
+                            "(default: WIGNERLAB_WORKERS or 1)")
     p_est.add_argument("--z", type=float, default=1.96)
     p_est.add_argument("--oracle", action="store_true", help="fill the oracle_value column")
     _add_output_flags(p_est)

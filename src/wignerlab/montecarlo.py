@@ -7,6 +7,11 @@ are therefore bit-identical for any worker count, and independent of the
 internal sub-batch size because consecutive draws from one generator
 concatenate exactly as a single larger draw would.
 
+Chunks fan out over a thread pool of at most ``workers`` threads, capped at
+the chunk count and the CPU count; numpy's random fills, BLAS and batched QR
+release the interpreter lock.  The workers share one process, so the
+sub-batch memory budget applies per worker.
+
 Fast path: for the diagonal phase-space point the Wigner value of a
 Hilbert-Schmidt sample z has the sign of sum_j p_j (z^dagger z)_jj, the
 column energies of z, and each column energy is a gamma(shape N, scale 2)
@@ -15,16 +20,16 @@ deviate, so no matrix is materialized.
 from __future__ import annotations
 
 import math
+import os
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .kernels import KernelSpectrum, random_spectrum, two_block_spectrum
-from .sampling import haar_batch
+from .sampling import ginibre_batch, haar_batch, row_energies_batch
 
 __all__ = [
     "CHUNK",
@@ -42,9 +47,8 @@ __all__ = [
 #: Samples per work unit; one derived random stream per chunk.
 CHUNK = 1 << 16
 
-# float64 scalars drawn per internal sub-batch, to cap working memory
-_GAMMA_BUDGET = 8_388_608
-_GINIBRE_BUDGET = 8_388_608
+# float64 scalars drawn per internal sub-batch and worker, to cap working memory
+_BUDGET = 1 << 20
 
 
 class SweepError(RuntimeError):
@@ -61,69 +65,23 @@ def _chunks(trials: int) -> list[tuple[int, int]]:
     return list(enumerate(sizes))
 
 
-def _count_fast_gamma(seed: int, n: int, weights: np.ndarray, chunk: tuple[int, int]) -> int:
+def _count(seed: int, row_floats: int, values, chunk: tuple[int, int]) -> int:
+    """Negative count of one chunk; ``values(m, rng)`` draws and reduces m samples."""
     index, size = chunk
     rng = _chunk_rng(seed, index)
-    rows = max(1, _GAMMA_BUDGET // n)
+    rows = max(1, _BUDGET // row_floats)
     negatives = 0
-    done = 0
-    while done < size:
-        m = min(rows, size - done)
-        g = rng.gamma(float(n), 2.0, size=(m, n))
-        negatives += int(np.count_nonzero(g @ weights < 0.0))
-        done += m
+    for done in range(0, size, rows):
+        negatives += int(np.count_nonzero(values(min(rows, size - done), rng) < 0.0))
     return negatives
 
 
-def _count_full_ginibre(seed: int, n: int, weights: np.ndarray,
-                        point: np.ndarray | None, chunk: tuple[int, int]) -> int:
-    index, size = chunk
-    rng = _chunk_rng(seed, index)
-    rows = max(1, _GINIBRE_BUDGET // (2 * n * n))
-    negatives = 0
-    done = 0
-    while done < size:
-        m = min(rows, size - done)
-        g = rng.standard_normal((m, n, n, 2))
-        if point is None:
-            energies = (g[..., 0] ** 2 + g[..., 1] ** 2).sum(axis=1)
-        else:
-            zu = (g[..., 0] + 1j * g[..., 1]) @ point
-            energies = (zu.real**2 + zu.imag**2).sum(axis=1)
-        negatives += int(np.count_nonzero(energies @ weights < 0.0))
-        done += m
-    return negatives
-
-
-def _count_state(seed: int, n: int, weights: np.ndarray,
-                 rho: np.ndarray, chunk: tuple[int, int]) -> int:
-    index, size = chunk
-    rng = _chunk_rng(seed, index)
-    rows = max(1, _GINIBRE_BUDGET // (2 * n * n))
-    negatives = 0
-    done = 0
-    while done < size:
-        m = min(rows, size - done)
-        u = haar_batch(m, n, rng)
-        # diagonal of U^dagger rho U, batched, dotted with the eigenvalues
-        diag = (u.conj() * (rho @ u)).sum(axis=1)
-        values = (diag @ weights).real
-        negatives += int(np.count_nonzero(values < 0.0))
-        done += m
-    return negatives
-
-
-def _map_reduce(worker, chunks: list[tuple[int, int]], workers: int) -> int:
-    if workers == 1 or len(chunks) == 1:
-        return sum(map(worker, chunks))
-    try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            return sum(pool.map(worker, chunks))
-    except OSError as exc:
-        # same counts either way; the pool only changes who runs the chunks
-        warnings.warn(f"process pool unavailable ({exc}); running chunks serially",
-                      RuntimeWarning, stacklevel=2)
-        return sum(map(worker, chunks))
+def _map_reduce(count, chunks: list[tuple[int, int]], workers: int) -> int:
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    if workers == 1:
+        return sum(map(count, chunks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(count, chunks))
 
 
 def wilson_interval(negatives: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -223,7 +181,8 @@ def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
         gamma(N, 2) deviates; ``"full-ginibre"`` materializes z and reduces
         it, useful as an end-to-end cross-check of the fast path.
     workers : int
-        Process count for chunk fan-out.  Counts do not depend on it.
+        Thread count for chunk fan-out, capped at the chunk count and the
+        CPU count.  Counts do not depend on it.
     z : float
         Normal quantile for the Wilson interval.
     phase_point : ndarray, optional
@@ -242,6 +201,7 @@ def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
         raise ValueError(f"unknown method {method!r}")
     n = spectrum.dimension
     weights = spectrum.expanded()
+    point = None
     if phase_point is not None:
         if method != "full-ginibre":
             raise ValueError("a custom phase-space point requires method='full-ginibre'")
@@ -250,12 +210,21 @@ def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
             raise ValueError(f"phase point shape {point.shape} does not match N={n}")
         if np.abs(point.conj().T @ point - np.eye(n)).max() > 1e-10:
             raise ValueError("phase point is not unitary within 1e-10")
-        worker = partial(_count_full_ginibre, seed, n, weights, point)
-    elif method == "full-ginibre":
-        worker = partial(_count_full_ginibre, seed, n, weights, None)
+
+    def fast_gamma(m: int, rng: np.random.Generator) -> np.ndarray:
+        return row_energies_batch(m, n, rng) @ weights
+
+    def full_ginibre(m: int, rng: np.random.Generator) -> np.ndarray:
+        z = ginibre_batch(m, n, rng)
+        if point is not None:
+            z = z @ point
+        return (z.real**2 + z.imag**2).sum(axis=1) @ weights
+
+    if method == "fast-gamma":
+        count = partial(_count, seed, n, fast_gamma)
     else:
-        worker = partial(_count_fast_gamma, seed, n, weights)
-    negatives = _map_reduce(worker, _chunks(trials), workers)
+        count = partial(_count, seed, 2 * n * n, full_ginibre)
+    negatives = _map_reduce(count, _chunks(trials), workers)
     return _finish(trials, negatives, seed, method, z)
 
 
@@ -280,8 +249,14 @@ def estimate_state(rho: np.ndarray, spectrum: KernelSpectrum, trials: int, seed:
         raise ValueError("state is not Hermitian within 1e-12")
     if abs(complex(np.trace(rho)) - 1.0) > 1e-12:
         raise ValueError("state trace differs from 1 by more than 1e-12")
-    worker = partial(_count_state, seed, n, spectrum.expanded(), rho)
-    negatives = _map_reduce(worker, _chunks(trials), workers)
+    weights = spectrum.expanded()
+
+    def haar_point(m: int, rng: np.random.Generator) -> np.ndarray:
+        u = haar_batch(m, n, rng)
+        # diagonal of U^dagger rho U, batched, dotted with the eigenvalues
+        return ((u.conj() * (rho @ u)).sum(axis=1) @ weights).real
+
+    negatives = _map_reduce(partial(_count, seed, 2 * n * n, haar_point), _chunks(trials), workers)
     return _finish(trials, negatives, seed, "haar-phase-point", z)
 
 
@@ -380,6 +355,15 @@ class SweepRecord:
     seed: int
     wall_time_s: float
 
+    @classmethod
+    def from_estimate(cls, spectrum: KernelSpectrum, k: int | None,
+                      est: NegativityEstimate, wall_time_s: float) -> "SweepRecord":
+        """The record of ``est``, an estimate for ``spectrum`` (``k`` None for random kernels)."""
+        return cls(dimension=spectrum.dimension, kernel_label=spectrum.label, k=k,
+                   method=est.method, trials=est.trials, negatives=est.negatives,
+                   p_hat=est.p_hat, ci_low=est.ci_low, ci_high=est.ci_high, seed=est.seed,
+                   wall_time_s=wall_time_s)
+
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Estimate every valid (dimension, kernel) point of the grid.
@@ -405,9 +389,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         except Exception as exc:
             raise SweepError(
                 f"sweep point N={n}, kernel {selector.describe()} failed: {exc}") from exc
-        records.append(SweepRecord(
-            dimension=n, kernel_label=spectrum.label, k=selector.k, method=est.method,
-            trials=est.trials, negatives=est.negatives, p_hat=est.p_hat,
-            ci_low=est.ci_low, ci_high=est.ci_high, seed=est.seed,
-            wall_time_s=time.perf_counter() - start))
+        records.append(SweepRecord.from_estimate(spectrum, selector.k, est,
+                                                 time.perf_counter() - start))
     return records

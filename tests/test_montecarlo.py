@@ -79,20 +79,6 @@ class TestEstimateGlobal:
         assert est.trials == CHUNK + 123
         assert est.p_hat == est.negatives / est.trials
 
-    def test_sub_batch_size_is_invisible(self, monkeypatch):
-        """Chunks may draw in pieces for memory; the counts must not
-        depend on the piece size."""
-        spec = two_block_spectrum(8, 2)
-        base = estimate_global(spec, 15 * 10**4, 31).negatives
-        monkeypatch.setattr(mc, "_GAMMA_BUDGET", 1000)
-        assert estimate_global(spec, 15 * 10**4, 31).negatives == base
-
-    def test_sub_batch_invisible_full_ginibre(self, monkeypatch):
-        spec = two_block_spectrum(8, 2)
-        base = estimate_global(spec, 7 * 10**4, 32, method="full-ginibre").negatives
-        monkeypatch.setattr(mc, "_GINIBRE_BUDGET", 1000)
-        assert estimate_global(spec, 7 * 10**4, 32, method="full-ginibre").negatives == base
-
     def test_phase_point_leaves_law_unchanged(self):
         spec = two_block_spectrum(3, 1)
         u0 = haar_unitary(3, np.random.default_rng(21))
@@ -154,6 +140,69 @@ class TestEstimateState:
             estimate_state(np.eye(2), spec, 10, 1)
         with pytest.raises(ValueError):
             estimate_state(np.eye(2) / 2, spec, 0, 1)
+
+
+_DFT3 = np.fft.fft(np.eye(3)) / np.sqrt(3)
+_RHO3 = np.array([[0.5, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.2]], dtype=complex)
+
+
+def _negatives(path, trials, seed, workers=1):
+    """Negative count of one sampling path for the N=3, k=1 kernel."""
+    spec = two_block_spectrum(3, 1)
+    if path == "state":
+        return estimate_state(_RHO3, spec, trials, seed, workers=workers).negatives
+    kwargs = {"full-ginibre": dict(method="full-ginibre"),
+              "phase-point": dict(method="full-ginibre", phase_point=_DFT3)}.get(path, {})
+    return estimate_global(spec, trials, seed, workers=workers, **kwargs).negatives
+
+
+class TestChunkLoop:
+    @pytest.mark.parametrize("path", ["fast-gamma", "full-ginibre", "phase-point", "state"])
+    def test_sub_batch_size_is_invisible(self, path, monkeypatch):
+        """Chunks may draw in pieces for memory; the counts must not
+        depend on the piece size."""
+        trials = 2 * CHUNK + 1000
+        base = _negatives(path, trials, 31)
+        monkeypatch.setattr(mc, "_BUDGET", 1000)
+        assert _negatives(path, trials, 31) == base
+
+    @pytest.mark.parametrize("path,seed,expected", [
+        ("fast-gamma", 101, 9693),
+        ("full-ginibre", 102, 9714),
+        ("phase-point", 103, 9599),
+        ("state", 104, 1099),
+    ])
+    def test_same_seed_counts_pinned(self, path, seed, expected):
+        # a change that alters a random stream on purpose updates its value
+        # here and records the change in CHANGES.md
+        assert [_negatives(path, CHUNK + 1000, seed, w) for w in (1, 2)] == [expected] * 2
+
+    def test_pool_capped_at_cpu_and_chunk_count(self, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", FakePool)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+        spec = two_block_spectrum(2, 1)
+        serial = estimate_global(spec, 5 * CHUNK, 7).negatives
+        assert estimate_global(spec, 5 * CHUNK, 7, workers=10**4).negatives == serial
+        assert estimate_global(spec, 2 * CHUNK, 7, workers=10**4).negatives > 0
+        assert started == [3, 2]
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+        assert estimate_global(spec, 5 * CHUNK, 7, workers=10**4).negatives == serial
+        assert started == [3, 2]
 
 
 class TestNegativityEstimate:
