@@ -22,6 +22,7 @@ from .montecarlo import (
     KernelSelector,
     SweepConfig,
     SweepRecord,
+    check_state,
     estimate_global,
     estimate_state,
     run_sweep,
@@ -84,8 +85,7 @@ def _parse_kernel_token(token: str, master_seed: int, position: int) -> KernelSe
 def load_state_file(path: str, expected_n: int | None = None) -> np.ndarray:
     """Read a density matrix: first line N, then N^2 lines "re im", row-major.
 
-    Validates Hermiticity (1e-12), unit trace (1e-12), and positive
-    semidefiniteness (smallest eigenvalue >= -1e-10).
+    The matrix must pass :func:`~wignerlab.montecarlo.check_state`.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -110,19 +110,10 @@ def load_state_file(path: str, expected_n: int | None = None) -> np.ndarray:
             entries.append(complex(float(parts[0]), float(parts[1])))
         except ValueError:
             raise ValueError(f"state file {path}:{lineno}: non-numeric entry {ln!r}") from None
-    rho = np.array(entries, dtype=complex).reshape(n, n)
-    if np.abs(rho - rho.conj().T).max() > 1e-12:
-        raise ValueError(f"state file {path}: matrix is not Hermitian within 1e-12")
-    if abs(complex(np.trace(rho)) - 1.0) > 1e-12:
-        raise ValueError(f"state file {path}: trace differs from 1 by more than 1e-12")
-    smallest = float(np.linalg.eigvalsh(rho).min())
-    if smallest < -1e-10:
-        raise ValueError(f"state file {path}: negative eigenvalue {smallest:.3e}")
-    return rho
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+    try:
+        return check_state(np.array(entries, dtype=complex).reshape(n, n), n)
+    except ValueError as exc:
+        raise ValueError(f"state file {path}: {exc}") from None
 
 
 def _record_payload(rec: SweepRecord, oracle_value: float | None) -> dict:
@@ -143,31 +134,21 @@ def _record_payload(rec: SweepRecord, oracle_value: float | None) -> dict:
     }
 
 
-def _records_text(records: list[SweepRecord], oracle_values: list[float | None],
-                  fmt: str, single: bool) -> str:
+def _render(rows: list[dict], columns: list[str], fmt: str, single: bool) -> str:
+    """``rows`` as CSV with a header, as JSON (one object when ``single``), or as
+    blank-line-separated ``key value`` blocks that leave out None values."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec, ov in zip(records, oracle_values):
-            writer.writerow([
-                SCHEMA_VERSION, rec.dimension, rec.kernel_label,
-                rec.k if rec.k is not None else "random",
-                rec.method, rec.trials, rec.negatives,
-                _fmt(rec.p_hat), _fmt(rec.ci_low), _fmt(rec.ci_high),
-                "" if ov is None else _fmt(ov),
-                rec.seed, _fmt(rec.wall_time_s),
-            ])
+        writer.writerow(columns)
+        writer.writerows([row[key] for key in columns] for row in rows)
         return buf.getvalue().rstrip("\n")
-    payloads = [_record_payload(rec, ov) for rec, ov in zip(records, oracle_values)]
     if fmt == "json":
-        return json.dumps(payloads[0] if single and payloads else payloads, indent=2)
-    lines = []
-    for payload in payloads:
-        lines.extend(f"{key:<14} {payload[key]}" for key in CSV_COLUMNS
-                     if not (key == "oracle_value" and payload[key] is None))
-        lines.append("")
-    return "\n".join(lines).rstrip("\n") if lines else "(no records)"
+        return json.dumps(rows[0] if single else rows, indent=2)
+    width = max(map(len, columns))
+    blocks = ["\n".join(f"{key:<{width}} {row[key]}" for key in columns if row[key] is not None)
+              for row in rows]
+    return "\n\n".join(blocks) or "(no records)"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -178,10 +159,12 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
-def _kernel_oracle(selector: KernelSelector, spectrum: KernelSpectrum) -> float:
-    if selector.kind == "two-block":
-        return two_block_exact(spectrum.dimension, selector.k).value
-    return cf_inversion_exact(spectrum).value
+def _kernel_oracle(selector: KernelSelector, spectrum: KernelSpectrum,
+                   cf: bool = False, tol: float = 1e-10) -> OracleResult:
+    """Beta closed form for two-block kernels unless ``cf``, CF inversion otherwise."""
+    if selector.kind == "two-block" and not cf:
+        return two_block_exact(spectrum.dimension, selector.k)
+    return cf_inversion_exact(spectrum, tol=tol)
 
 
 def _cmd_kernel(args) -> int:
@@ -225,9 +208,10 @@ def _cmd_estimate(args) -> int:
     est = estimate_global(spectrum, args.trials, args.seed,
                           method=args.method, workers=workers, z=args.z)
     wall = time.perf_counter() - start
-    oracle_value = _kernel_oracle(selector, spectrum) if args.oracle else None
+    oracle_value = _kernel_oracle(selector, spectrum).value if args.oracle else None
     rec = SweepRecord.from_estimate(spectrum, selector.k, est, wall)
-    _emit(_records_text([rec], [oracle_value], args.format, single=True), args.out)
+    _emit(_render([_record_payload(rec, oracle_value)], CSV_COLUMNS, args.format, single=True),
+          args.out)
     return 0
 
 
@@ -238,61 +222,70 @@ def _parse_dimensions(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse dimension list {text!r}; use e.g. 2,4,8") from None
+        raise argparse.ArgumentTypeError(
+            f"cannot parse dimension list {text!r}; use e.g. 2,4,8") from None
 
 
-_SWEEP_CONFIG_KEYS = {"dimensions", "kernels", "trials", "seed", "workers", "z", "method"}
+def _has_type(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+# what each sweep setting must be, keyed by SweepConfig field: (wording, type, item type)
+_SWEEP_TYPES = {
+    "dimensions": ("a list of integers", list, int),
+    "kernels": ("a list of strings", list, str),
+    "trials": ("an integer", int, None),
+    "seed": ("an integer", int, None),
+    "workers": ("an integer", int, None),
+    "z": ("a number", (int, float), None),
+    "method": ("a string", str, None),
+}
+
+
+def _sweep_settings(args) -> dict:
+    """Sweep settings: the config file's, then the flags over them; seed defaults to 0
+    and workers to ``WIGNERLAB_WORKERS`` or 1, the rest to SweepConfig's defaults."""
+    conf: dict = {}
+    if args.config:
+        with open(args.config) as fh:
+            conf = json.load(fh)
+        if not isinstance(conf, dict):
+            raise ValueError(f"config file {args.config}: expected a JSON object")
+        unknown = set(conf) - set(_SWEEP_TYPES)
+        if unknown:
+            raise ValueError(f"config file {args.config}: unknown keys {sorted(unknown)}")
+        for key, value in conf.items():
+            what, types, items = _SWEEP_TYPES[key]
+            if not (_has_type(value, types)
+                    and (items is None or all(_has_type(v, items) for v in value))):
+                raise ValueError(
+                    f"config file {args.config}: {key!r} must be {what}, got {value!r}")
+    flags = {key: getattr(args, key) for key in _SWEEP_TYPES}
+    conf.update((key, value) for key, value in flags.items() if value is not None)
+    for key, flag in (("dimensions", "--n"), ("kernels", "--kernels"), ("trials", "--trials")):
+        if key not in conf:
+            raise ValueError(f"sweep needs {flag} or a config file with {key!r}")
+    conf.setdefault("seed", 0)
+    if "workers" not in conf:
+        conf["workers"] = _default_workers()
+    return conf
 
 
 def _cmd_sweep(args) -> int:
-    fileconf: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            fileconf = json.load(fh)
-        if not isinstance(fileconf, dict):
-            raise ValueError(f"config file {args.config}: expected a JSON object")
-        unknown = set(fileconf) - _SWEEP_CONFIG_KEYS
-        if unknown:
-            raise ValueError(f"config file {args.config}: unknown keys {sorted(unknown)}")
+    conf = _sweep_settings(args)
+    selectors = [_parse_kernel_token(tok, conf["seed"], pos)
+                 for pos, tok in enumerate(conf["kernels"])]
+    records = run_sweep(SweepConfig(**{**conf, "kernels": selectors}))
 
-    if args.n is not None:
-        dimensions = _parse_dimensions(args.n)
-    elif "dimensions" in fileconf:
-        dimensions = tuple(int(n) for n in fileconf["dimensions"])
-    else:
-        raise ValueError("sweep needs --n or a config file with 'dimensions'")
-
-    seed = args.seed if args.seed is not None else int(fileconf.get("seed", 0))
-
-    if args.kernels is not None:
-        tokens = [t for t in args.kernels.split(",") if t.strip()]
-    elif "kernels" in fileconf:
-        tokens = [str(t) for t in fileconf["kernels"]]
-    else:
-        raise ValueError("sweep needs --kernels or a config file with 'kernels'")
-    selectors = tuple(_parse_kernel_token(tok, seed, pos) for pos, tok in enumerate(tokens))
-
-    trials = args.trials if args.trials is not None else fileconf.get("trials")
-    if trials is None:
-        raise ValueError("sweep needs --trials or a config file with 'trials'")
-    workers = args.workers if args.workers is not None else fileconf.get("workers")
-    if workers is None:
-        workers = _default_workers()
-    z = args.z if args.z is not None else float(fileconf.get("z", 1.96))
-    method = args.method if args.method is not None else str(fileconf.get("method", "fast-gamma"))
-
-    config = SweepConfig(dimensions=dimensions, kernels=selectors, trials=int(trials),
-                         seed=int(seed), workers=int(workers), z=z, method=method)
-    records = run_sweep(config)
-
-    oracle_values: list[float | None] = [None] * len(records)
-    if args.oracle:
-        by_label = {sel.describe(): sel for sel in selectors}
-        for i, rec in enumerate(records):
+    by_label = {sel.describe(): sel for sel in selectors}
+    rows = []
+    for rec in records:
+        oracle_value = None
+        if args.oracle:
             sel = by_label[rec.kernel_label]
-            oracle_values[i] = _kernel_oracle(sel, sel.build(rec.dimension))
-
-    _emit(_records_text(records, oracle_values, args.format, single=False), args.out)
+            oracle_value = _kernel_oracle(sel, sel.build(rec.dimension)).value
+        rows.append(_record_payload(rec, oracle_value))
+    _emit(_render(rows, CSV_COLUMNS, args.format, single=False), args.out)
     return 0
 
 
@@ -309,30 +302,10 @@ def _cmd_oracle(args) -> int:
         if args.n is None:
             raise ValueError("kernel-family oracles need --n")
         selector = _selector_from_args(args)
-        spectrum = selector.build(args.n)
-        if selector.kind == "two-block" and not args.cf:
-            result = two_block_exact(args.n, selector.k)
-        else:
-            result = cf_inversion_exact(spectrum, tol=args.tol)
-    _emit(_oracle_text(result, args.format), args.out)
+        result = _kernel_oracle(selector, selector.build(args.n), cf=args.cf, tol=args.tol)
+    row = {key: getattr(result, key) for key in ORACLE_COLUMNS}
+    _emit(_render([row], ORACLE_COLUMNS, args.format, single=True), args.out)
     return 0
-
-
-def _oracle_text(result: OracleResult, fmt: str) -> str:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(ORACLE_COLUMNS)
-        writer.writerow([_fmt(result.value), result.method, _fmt(result.estimated_abs_error)])
-        return buf.getvalue().rstrip("\n")
-    if fmt == "json":
-        return json.dumps({"value": result.value, "method": result.method,
-                           "estimated_abs_error": result.estimated_abs_error}, indent=2)
-    return "\n".join([
-        f"value                {result.value!r}",
-        f"method               {result.method}",
-        f"estimated_abs_error  {result.estimated_abs_error!r}",
-    ])
 
 
 def _cmd_state(args) -> int:
@@ -353,7 +326,7 @@ def _cmd_state(args) -> int:
     est = estimate_state(rho, spectrum, args.trials, args.seed, workers=workers, z=args.z)
     wall = time.perf_counter() - start
     rec = SweepRecord.from_estimate(spectrum, selector.k, est, wall)
-    _emit(_records_text([rec], [None], args.format, single=True), args.out)
+    _emit(_render([_record_payload(rec, None)], CSV_COLUMNS, args.format, single=True), args.out)
     return 0
 
 
@@ -402,9 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="estimate a grid of (N, kernel) points")
     p_sweep.add_argument("--config", metavar="FILE", default=None,
                          help="JSON file with dimensions/kernels/trials/seed/workers/z/method")
-    p_sweep.add_argument("--n", metavar="LIST", default=None,
+    p_sweep.add_argument("--n", dest="dimensions", metavar="LIST", default=None,
+                         type=_parse_dimensions,
                          help="comma-separated dimensions, e.g. 2,4,8 (empty for none)")
     p_sweep.add_argument("--kernels", metavar="LIST", default=None,
+                         type=lambda text: [t for t in text.split(",") if t.strip()],
                          help="comma-separated kernel tokens: k=INT, random, random=SEED")
     p_sweep.add_argument("--trials", type=int, default=None)
     p_sweep.add_argument("--seed", type=int, default=None)

@@ -73,7 +73,7 @@ class KernelSpectrum:
         if sum(m for _, m in pairs) != self.dimension:
             raise ValueError("multiplicities must sum to the dimension")
         vals = [v for v, _ in pairs]
-        if any(u >= w for u, w in zip(vals[1:], vals)):
+        if not all(u < w for u, w in zip(vals[1:], vals)):
             raise ValueError("eigenvalues must be strictly decreasing")
 
     @property
@@ -91,13 +91,13 @@ class KernelSpectrum:
 
     def validate(self, tol: float = 1e-10) -> "KernelSpectrum":
         """Raise ValueError unless both trace constraints hold within `tol`
-        and at least one eigenvalue is negative."""
+        and at least one eigenvalue is negative; NaN fails both checks."""
         r1, r2 = master_residuals(self)
-        if abs(r1) > tol or abs(r2) > tol:
+        if not (abs(r1) <= tol and abs(r2) <= tol):
             raise ValueError(
                 f"trace constraints violated: residuals ({r1:.3e}, {r2:.3e}) exceed {tol:g}"
             )
-        if self.eigenvalues[-1][0] >= 0:
+        if not self.eigenvalues[-1][0] < 0:
             raise ValueError("admissible spectra must contain a negative eigenvalue")
         return self
 

@@ -36,6 +36,7 @@ __all__ = [
     "NegativityEstimate",
     "wilson_interval",
     "estimate_global",
+    "check_state",
     "estimate_state",
     "KernelSelector",
     "SweepConfig",
@@ -208,7 +209,7 @@ def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
         point = np.ascontiguousarray(phase_point, dtype=complex)
         if point.shape != (n, n):
             raise ValueError(f"phase point shape {point.shape} does not match N={n}")
-        if np.abs(point.conj().T @ point - np.eye(n)).max() > 1e-10:
+        if not np.abs(point.conj().T @ point - np.eye(n)).max() <= 1e-10:
             raise ValueError("phase point is not unitary within 1e-10")
 
     def fast_gamma(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -228,27 +229,41 @@ def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
     return _finish(trials, negatives, seed, method, z)
 
 
+def check_state(rho: np.ndarray, n: int) -> np.ndarray:
+    """Return ``rho`` as a complex array if it is an N-level density matrix.
+
+    Raises ValueError unless ``rho`` is N x N with finite entries, Hermitian
+    within 1e-12, of unit trace within 1e-12, and positive semidefinite
+    (smallest eigenvalue >= -1e-10).  Each check fails on NaN.
+    """
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    if rho.shape != (n, n):
+        raise ValueError(f"state shape {rho.shape} does not match N={n}")
+    if not np.isfinite(rho).all():
+        raise ValueError("state has a non-finite entry")
+    if not np.abs(rho - rho.conj().T).max() <= 1e-12:
+        raise ValueError("state is not Hermitian within 1e-12")
+    if not abs(complex(np.trace(rho)) - 1.0) <= 1e-12:
+        raise ValueError("state trace differs from 1 by more than 1e-12")
+    smallest = float(np.linalg.eigvalsh(rho).min())
+    if not smallest >= -1e-10:
+        raise ValueError(f"state has a negative eigenvalue {smallest:.3e}")
+    return rho
+
+
 def estimate_state(rho: np.ndarray, spectrum: KernelSpectrum, trials: int, seed: int,
                    workers: int = 1, *, z: float = 1.96) -> NegativityEstimate:
     """Estimate the phase-space volume fraction where a state's Wigner value is negative.
 
     Draws Haar-random unitaries U and counts tr(rho U P U^dagger) < 0.
-
-    The state must be Hermitian within 1e-12 and have unit trace within
-    1e-12; positive semidefiniteness is the caller's responsibility.
+    ``rho`` must pass :func:`check_state` at the kernel's dimension.
     """
     spectrum.validate()
     _check_trials_seed(trials, seed)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = spectrum.dimension
-    rho = np.ascontiguousarray(rho, dtype=complex)
-    if rho.shape != (n, n):
-        raise ValueError(f"state shape {rho.shape} does not match kernel N={n}")
-    if np.abs(rho - rho.conj().T).max() > 1e-12:
-        raise ValueError("state is not Hermitian within 1e-12")
-    if abs(complex(np.trace(rho)) - 1.0) > 1e-12:
-        raise ValueError("state trace differs from 1 by more than 1e-12")
+    rho = check_state(rho, n)
     weights = spectrum.expanded()
 
     def haar_point(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -307,7 +322,7 @@ class KernelSelector:
             return two_block_spectrum(n_levels, self.k)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(n_levels,)))
-        return random_spectrum(n_levels, rng, label=f"random s={self.seed}")
+        return random_spectrum(n_levels, rng, label=self.describe())
 
     def describe(self) -> str:
         if self.kind == "two-block":

@@ -64,10 +64,10 @@ class OracleResult:
 def limit_quantumness() -> OracleResult:
     """Negativity probability in the infinite-dimension limit.
 
-    Returns (1/2) erfc(1/sqrt(2)) = 0.15865525393145705, equivalently
-    1 - Phi(1) with Phi the standard normal CDF.  The platform erfc is
-    correctly rounded to well under 1e-15 here; an independent series
-    evaluation cross-checks it in the test suite.
+    Returns (1/2) erfc(1/sqrt(2)) = 1 - Phi(1), with Phi the standard normal
+    CDF, evaluated as 0.15865525393145707: one ulp above the correctly
+    rounded 0.158655253931457051..., inside the reported 1e-16 bound.  An
+    independent series evaluation cross-checks it in the test suite.
     """
     return OracleResult(value=LIMIT_VALUE, method="limit", estimated_abs_error=1e-16)
 
@@ -150,7 +150,7 @@ def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleRe
     ConvergenceError
         If quadrature error plus tail bound cannot certify ``tol``.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     spectrum.validate()
     n = spectrum.dimension
@@ -222,6 +222,8 @@ def clt_probability(t: float, tol: float = 1e-9) -> OracleResult:
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     shift = math.sqrt(t * t + 1.0)
 
     def integrand(y: float) -> float:
@@ -234,7 +236,7 @@ def clt_probability(t: float, tol: float = 1e-9) -> OracleResult:
     integral, quad_err = quad(integrand, -window, window,
                               points=points, limit=400, epsabs=tol * 0.1, epsrel=1e-12)
     est_err = quad_err + 1e-15  # quadrature + truncation (< 1e-37) + roundoff slack
-    if est_err > tol:
+    if not est_err <= tol:
         raise ConvergenceError(f"quadrature error {est_err:.3e} exceeds tol {tol:.3e} at t={t!r}")
     return OracleResult(
         value=min(max(integral, 0.0), 1.0),

@@ -169,6 +169,30 @@ class TestSweepCommand:
         assert code == 2
         assert "colour" in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("dimensions", [2.9]),
+        ("dimensions", 2),
+        ("dimensions", [True]),
+        ("kernels", ["k=1", 3]),
+        ("kernels", "k=1"),
+        ("trials", 100.7),
+        ("trials", True),
+        ("seed", 1.5),
+        ("workers", "2"),
+        ("z", "3"),
+        ("z", False),
+        ("method", 1),
+    ])
+    def test_config_value_types(self, capsys, tmp_path, key, value):
+        conf = {"dimensions": [2], "kernels": ["k=1"], "trials": 100, "seed": 1}
+        conf[key] = value
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(conf))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err
+
     def test_config_must_be_object(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.json"
         cfg.write_text("[1, 2]")
@@ -186,6 +210,18 @@ class TestSweepCommand:
         col = CSV_COLUMNS.index("oracle_value")
         for row in rows:
             assert 0.0 < float(row[col]) < 1.0
+
+    def test_pretty_blocks(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--n", "2,3", "--kernels", "k=1",
+                               "--trials", "256", "--seed", "1", "--format", "pretty")
+        assert code == 0
+        blocks = out.rstrip("\n").split("\n\n")
+        assert len(blocks) == 2
+        for block, n in zip(blocks, ("2", "3")):
+            fields = dict(line.split(None, 1) for line in block.split("\n"))
+            assert list(fields) == [c for c in CSV_COLUMNS if c != "oracle_value"]
+            assert fields["N"] == n
+            assert fields["kernel_label"] == "two-block k=1"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
@@ -231,6 +267,14 @@ class TestOracleCommand:
         _, rows = parse_csv(out)
         assert float(rows[0][0]) == pytest.approx(0.11509982054024949, abs=1e-12)
         assert rows[0][1] == "beta-closed-form"
+
+    def test_two_block_json(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "--n", "8", "--two-block", "2",
+                               "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload == {"value": pytest.approx(0.15622696067816964988, abs=5e-13),
+                           "method": "beta-closed-form", "estimated_abs_error": 5e-13}
 
     def test_cf_flag_switches_method(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "2", "--two-block", "1", "--cf")
@@ -307,6 +351,16 @@ class TestStateCommand:
                                "--two-block", "1", "--trials", "16", "--seed", "0")
         assert code == 2
         assert fragment in err
+
+    @pytest.mark.parametrize("entry", ["nan 0.0", "0.5 nan", "inf 0.0"])
+    def test_non_finite_state_file_entry(self, capsys, tmp_path, entry):
+        path = tmp_path / "rho.txt"
+        path.write_text(f"2\n{entry}\n0.0 0.0\n0.0 0.0\n0.5 0.0\n")
+        code, out, err = run_cli(capsys, "state", "--n", "2", "--state-file", str(path),
+                                 "--two-block", "1", "--trials", "16", "--seed", "0")
+        assert code == 2
+        assert out == ""
+        assert f"state file {path}: " in err and "non-finite" in err
 
     def test_state_file_dimension_mismatch(self, capsys, tmp_path):
         path = tmp_path / "rho.txt"

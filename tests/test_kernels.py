@@ -138,6 +138,17 @@ class TestSpectrumStructure:
         with pytest.raises(ValueError):
             allpos.validate(tol=10.0)
 
+    @pytest.mark.parametrize("build,fragment", [
+        (lambda: KernelSpectrum(2, ((math.nan, 1), (math.nan, 1))), "decreasing"),
+        (lambda: KernelSpectrum(2, ((1.0, 1), (math.nan, 1))), "decreasing"),
+        (lambda: spectrum_from_values([1.0, math.nan]), "decreasing"),
+        (lambda: KernelSpectrum(2, ((math.nan, 2),)), "trace constraints"),
+        (lambda: two_block_spectrum(2, 1).validate(tol=math.nan), "trace constraints"),
+    ])
+    def test_nan_fails_checks(self, build, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            build().validate()
+
     def test_from_values_merges_ties(self):
         spec = spectrum_from_values([0.5, 0.5 + 1e-14, -0.25, 1.25])
         assert list(spec.multiplicities) == [1, 2, 1]

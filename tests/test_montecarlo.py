@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wignerlab.montecarlo as mc
-from wignerlab.kernels import two_block_spectrum
+from wignerlab.kernels import KernelSpectrum, two_block_spectrum
 from wignerlab.montecarlo import (
     CHUNK,
     KernelSelector,
@@ -138,8 +138,25 @@ class TestEstimateState:
             estimate_state(np.array([[0.5, 1e-6], [0.0, 0.5]]), spec, 10, 1)
         with pytest.raises(ValueError, match="trace"):
             estimate_state(np.eye(2), spec, 10, 1)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            estimate_state(np.diag([1.2, -0.2]), spec, 10, 1)
         with pytest.raises(ValueError):
             estimate_state(np.eye(2) / 2, spec, 0, 1)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: estimate_state(np.array([[_NAN, 0.0], [0.0, 0.5]]), two_block_spectrum(2, 1), 10, 1),
+     "non-finite"),
+    (lambda: estimate_global(two_block_spectrum(2, 1), 10, 1, method="full-ginibre",
+                             phase_point=np.full((2, 2), _NAN)), "unitary"),
+    (lambda: estimate_global(KernelSpectrum(2, ((_NAN, 2),)), 10, 1), "trace constraints"),
+])
+def test_nan_inputs_rejected(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
 
 
 _DFT3 = np.fft.fft(np.eye(3)) / np.sqrt(3)
@@ -238,6 +255,14 @@ class TestSelectors:
         sel = KernelSelector.random(77)
         assert sel.build(4).dimension == 4
         assert sel.build(5).dimension == 5
+
+    @pytest.mark.parametrize("selector", [
+        KernelSelector.two_block(1), KernelSelector.two_block(3),
+        KernelSelector.random(77), KernelSelector.random(2**64 - 1)])
+    @pytest.mark.parametrize("n", [4, 5, 9])
+    def test_label_is_description(self, selector, n):
+        # sweep --oracle finds each record's selector by this label
+        assert selector.build(n).label == selector.describe()
 
     def test_validation(self):
         with pytest.raises(ValueError):

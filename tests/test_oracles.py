@@ -156,6 +156,16 @@ class TestCltQuadrature:
             clt_probability(1.0, tol=1e-16)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: clt_probability(1.0, tol=math.nan),
+    lambda: cf_inversion_exact(two_block_spectrum(2, 1), tol=math.nan),
+    lambda: cf_inversion_exact(KernelSpectrum(2, ((math.nan, 2),))),
+])
+def test_nan_inputs_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 class TestOracleResult:
     def test_rejects_out_of_range_value(self):
         with pytest.raises(ValueError):
