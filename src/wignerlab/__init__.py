@@ -37,6 +37,7 @@ from .oracles import (
     two_block_exact,
 )
 from .sampling import (
+    gamma_batch,
     ginibre_batch,
     haar_batch,
     haar_unitary,
@@ -62,6 +63,7 @@ __all__ = [
     "hs_state",
     "sample_row_energies",
     "row_energies_batch",
+    "gamma_batch",
     "haar_unitary",
     "haar_batch",
     "wigner_value",

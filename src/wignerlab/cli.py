@@ -27,7 +27,14 @@ from .montecarlo import (
     estimate_state,
     run_sweep,
 )
-from .oracles import OracleResult, cf_inversion_exact, clt_probability, limit_quantumness, two_block_exact
+from .oracles import (
+    ConvergenceError,
+    OracleResult,
+    cf_inversion_exact,
+    clt_probability,
+    limit_quantumness,
+    two_block_exact,
+)
 
 SCHEMA_VERSION = 1
 CSV_COLUMNS = [
@@ -161,10 +168,19 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _kernel_oracle(selector: KernelSelector, spectrum: KernelSpectrum,
                    cf: bool = False, tol: float = 1e-10) -> OracleResult:
-    """Beta closed form for two-block kernels unless ``cf``, CF inversion otherwise."""
-    if selector.kind == "two-block" and not cf:
-        return two_block_exact(spectrum.dimension, selector.k)
-    return cf_inversion_exact(spectrum, tol=tol)
+    """Beta closed form for two-block kernels unless ``cf``, CF inversion otherwise.
+
+    Either route raises ConvergenceError when its error bound exceeds ``tol``.
+    """
+    if selector.kind != "two-block" or cf:
+        return cf_inversion_exact(spectrum, tol=tol)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    result = two_block_exact(spectrum.dimension, selector.k)
+    if result.estimated_abs_error > tol:
+        raise ConvergenceError(
+            f"beta closed form error bound {result.estimated_abs_error:.3e} exceeds tol {tol:.3e}")
+    return result
 
 
 def _cmd_kernel(args) -> int:
@@ -400,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--cf", action="store_true",
                           help="force characteristic-function inversion for two-block kernels")
     p_oracle.add_argument("--tol", type=float, default=1e-10,
-                          help="error tolerance for CF inversion")
+                          help="error tolerance; the oracle fails (exit 3) if it cannot meet it")
     _add_output_flags(p_oracle)
     p_oracle.set_defaults(handler=_cmd_oracle)
 

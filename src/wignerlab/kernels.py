@@ -85,6 +85,15 @@ class KernelSpectrum:
     def multiplicities(self) -> np.ndarray:
         return np.array([m for _, m in self.eigenvalues], dtype=np.int64)
 
+    @property
+    def shapes(self) -> np.ndarray:
+        """Gamma shape N * multiplicity of each eigenvalue block, as floats.
+
+        The weighted gamma sum over all N eigenvalues equals, in law, one
+        gamma(shape, scale 2) deviate per distinct eigenvalue with these shapes.
+        """
+        return float(self.dimension) * self.multiplicities.astype(float)
+
     def expanded(self) -> np.ndarray:
         """All N eigenvalues in decreasing order, multiplicities unrolled."""
         return np.repeat(self.values, self.multiplicities)

@@ -15,7 +15,12 @@ sub-batch memory budget applies per worker.
 Fast path: for the diagonal phase-space point the Wigner value of a
 Hilbert-Schmidt sample z has the sign of sum_j p_j (z^dagger z)_jj, the
 column energies of z, and each column energy is a gamma(shape N, scale 2)
-deviate, so no matrix is materialized.
+deviate, so no matrix is materialized.  The m_j column energies of one
+eigenvalue block sum to a single gamma(N m_j, 2) deviate, so a sample draws
+one standard gamma of shape N m_j per distinct eigenvalue; the common scale 2
+is a power of two and cannot change the sign.  Kernels whose eigenvalues are
+all distinct, random kernels among them, draw exactly the numbers of an
+N-column draw halved, so their counts do not depend on this reduction.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .kernels import KernelSpectrum, random_spectrum, two_block_spectrum
-from .sampling import ginibre_batch, haar_batch, row_energies_batch
+from .sampling import gamma_batch, ginibre_batch, haar_batch
 
 __all__ = [
     "CHUNK",
@@ -95,7 +100,8 @@ def wilson_interval(negatives: int, trials: int, z: float = 1.96) -> tuple[float
     trials : int
         Number of Bernoulli trials, >= 1.
     z : float
-        Normal quantile, e.g. 1.96 for 95%, 3.0 for a 3-sigma band.
+        Normal quantile, positive and finite, e.g. 1.96 for 95%, 3.0 for a
+        3-sigma band.
 
     Returns
     -------
@@ -107,8 +113,8 @@ def wilson_interval(negatives: int, trials: int, z: float = 1.96) -> tuple[float
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= negatives <= trials:
         raise ValueError(f"negatives {negatives} outside [0, {trials}]")
-    if not z > 0.0:
-        raise ValueError(f"z must be positive, got {z!r}")
+    if not (math.isfinite(z) and z > 0.0):
+        raise ValueError(f"z must be positive and finite, got {z!r}")
     p = negatives / trials
     zz = z * z
     denom = 1.0 + zz / trials
@@ -178,9 +184,11 @@ def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
     seed : int
         Master seed; fully determines the counts together with ``trials``.
     method : str
-        ``"fast-gamma"`` draws the N column energies directly as
-        gamma(N, 2) deviates; ``"full-ginibre"`` materializes z and reduces
-        it, useful as an end-to-end cross-check of the fast path.
+        ``"fast-gamma"`` draws one gamma(N m_j) deviate per distinct
+        eigenvalue, the summed column energies of its block, so a sample
+        costs B draws for B distinct eigenvalues rather than N;
+        ``"full-ginibre"`` materializes z and reduces it, useful as an
+        end-to-end cross-check of the fast path.
     workers : int
         Thread count for chunk fan-out, capped at the chunk count and the
         CPU count.  Counts do not depend on it.
@@ -212,8 +220,10 @@ def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
         if not np.abs(point.conj().T @ point - np.eye(n)).max() <= 1e-10:
             raise ValueError("phase point is not unitary within 1e-10")
 
+    values, shapes = spectrum.values, spectrum.shapes
+
     def fast_gamma(m: int, rng: np.random.Generator) -> np.ndarray:
-        return row_energies_batch(m, n, rng) @ weights
+        return gamma_batch(m, shapes, rng) @ values
 
     def full_ginibre(m: int, rng: np.random.Generator) -> np.ndarray:
         z = ginibre_batch(m, n, rng)
@@ -222,7 +232,7 @@ def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
         return (z.real**2 + z.imag**2).sum(axis=1) @ weights
 
     if method == "fast-gamma":
-        count = partial(_count, seed, n, fast_gamma)
+        count = partial(_count, seed, values.size, fast_gamma)
     else:
         count = partial(_count, seed, 2 * n * n, full_ginibre)
     negatives = _map_reduce(count, _chunks(trials), workers)

@@ -155,7 +155,7 @@ def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleRe
     spectrum.validate()
     n = spectrum.dimension
     weights = np.asarray(spectrum.values, dtype=float)
-    powers = float(n) * np.asarray(spectrum.multiplicities, dtype=float)
+    powers = spectrum.shapes
     cf = _log_cf_factory(weights, powers)
 
     endpoint = 2.0 * float(n)  # lim_{u->0} Im phi(u)/u, since sum m_j w_j = 1

@@ -21,6 +21,7 @@ __all__ = [
     "hs_state",
     "sample_row_energies",
     "row_energies_batch",
+    "gamma_batch",
     "haar_unitary",
     "haar_batch",
     "wigner_value",
@@ -56,6 +57,19 @@ def hs_state(z: np.ndarray) -> np.ndarray:
 def row_energies_batch(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """`count` rows of n independent gamma(shape=n, scale=2) deviates."""
     return rng.gamma(float(n), 2.0, size=(count, n))
+
+
+def gamma_batch(count: int, shapes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """`count` rows of independent standard-gamma deviates, shape (count, B).
+
+    Column j has shape ``shapes[j]``.  When every shape is equal the draw
+    takes the scalar shape, which gives the same numbers as the broadcast
+    array but fills faster.
+    """
+    shapes = np.asarray(shapes, dtype=float)
+    if (shapes == shapes[0]).all():
+        return rng.standard_gamma(shapes[0], size=(count, shapes.size))
+    return rng.standard_gamma(shapes, size=(count, shapes.size))
 
 
 def sample_row_energies(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -283,6 +283,19 @@ class TestOracleCommand:
         assert rows[0][1] == "cf-inversion"
         assert float(rows[0][0]) == pytest.approx(0.11509982054024949, abs=1e-8)
 
+    @pytest.mark.parametrize("route,tol,code", [
+        ([], "1e-30", 3), (["--cf"], "1e-30", 3), ([], "1e-12", 0), ([], "0", 2), ([], "nan", 2),
+    ], ids=["beta-tight", "cf-tight", "beta-met", "zero", "nan"])
+    def test_tol_enforced_on_every_route(self, capsys, route, tol, code):
+        """The beta form's fixed 5e-13 bound must meet --tol like CF inversion's."""
+        got, out, err = run_cli(capsys, "oracle", "--n", "3", "--two-block", "1", "--tol", tol,
+                                *route)
+        assert got == code
+        if code == 0:
+            assert parse_csv(out)[1][0][1] == "beta-closed-form"
+        else:
+            assert out == "" and "tol" in err
+
     def test_random_kernel_uses_cf(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "3", "--random", "11")
         assert code == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wignerlab.montecarlo as mc
-from wignerlab.kernels import KernelSpectrum, two_block_spectrum
+from wignerlab.kernels import KernelSpectrum, spectrum_from_values, two_block_spectrum
 from wignerlab.montecarlo import (
     CHUNK,
     KernelSelector,
@@ -14,6 +14,7 @@ from wignerlab.montecarlo import (
     run_sweep,
     wilson_interval,
 )
+from wignerlab.oracles import cf_inversion_exact, two_block_exact
 from wignerlab.sampling import haar_unitary
 
 
@@ -42,7 +43,8 @@ class TestWilson:
         wide = wilson_interval(50, 400, 3.0)
         assert wide[0] < narrow[0] and narrow[1] < wide[1]
 
-    @pytest.mark.parametrize("neg,trials,z", [(-1, 10, 2.0), (11, 10, 2.0), (0, 0, 2.0), (1, 10, 0.0)])
+    @pytest.mark.parametrize("neg,trials,z", [(-1, 10, 2.0), (11, 10, 2.0), (0, 0, 2.0), (1, 10, 0.0),
+                                              (1, 10, float("inf"))])
     def test_validation(self, neg, trials, z):
         with pytest.raises(ValueError):
             wilson_interval(neg, trials, z)
@@ -85,6 +87,28 @@ class TestEstimateGlobal:
         at_identity = estimate_global(spec, 5 * 10**4, 22, method="full-ginibre", z=3.0)
         at_u0 = estimate_global(spec, 5 * 10**4, 23, method="full-ginibre", z=3.0, phase_point=u0)
         assert _overlap(at_identity, at_u0)
+
+    @staticmethod
+    def _three_block():
+        """N=6 kernel with multiplicities (3, 2, 1), built like random_spectrum."""
+        d = np.repeat([1.0, 0.0, -2.0], [3, 2, 1])
+        d -= d.mean()
+        return spectrum_from_values(1 / 6 + np.sqrt((6 - 1 / 6) / (d @ d)) * d)
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (16, 1), (16, 8), (64, 1), (64, 32),
+                                     (512, 1), (512, 256), (6, None)])
+    def test_block_draw_matches_oracles(self, n, k):
+        """One gamma(N m_j) draw per eigenvalue block has the law of the N
+        column energies: each estimate's z=5 interval holds the exact value."""
+        if k is None:
+            spec = self._three_block()
+            assert spec.multiplicities.tolist() == [3, 2, 1]
+            exact = cf_inversion_exact(spec).value
+        else:
+            spec = two_block_spectrum(n, k)
+            exact = two_block_exact(n, k).value
+        est = estimate_global(spec, 1 << 17, 1000 + n + (k or 0), z=5.0)
+        assert est.ci_low <= exact <= est.ci_high
 
     def test_validation(self):
         spec = two_block_spectrum(2, 1)
@@ -164,8 +188,9 @@ _RHO3 = np.array([[0.5, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.2]], dtype=comp
 
 
 def _negatives(path, trials, seed, workers=1):
-    """Negative count of one sampling path for the N=3, k=1 kernel."""
-    spec = two_block_spectrum(3, 1)
+    """Negative count of one sampling path for the N=3, k=1 kernel; the
+    "random-kernel" path is fast-gamma on the N=5 kernel of random seed 7."""
+    spec = KernelSelector.random(7).build(5) if path == "random-kernel" else two_block_spectrum(3, 1)
     if path == "state":
         return estimate_state(_RHO3, spec, trials, seed, workers=workers).negatives
     kwargs = {"full-ginibre": dict(method="full-ginibre"),
@@ -174,7 +199,8 @@ def _negatives(path, trials, seed, workers=1):
 
 
 class TestChunkLoop:
-    @pytest.mark.parametrize("path", ["fast-gamma", "full-ginibre", "phase-point", "state"])
+    @pytest.mark.parametrize("path", ["fast-gamma", "random-kernel", "full-ginibre", "phase-point",
+                                      "state"])
     def test_sub_batch_size_is_invisible(self, path, monkeypatch):
         """Chunks may draw in pieces for memory; the counts must not
         depend on the piece size."""
@@ -184,7 +210,8 @@ class TestChunkLoop:
         assert _negatives(path, trials, 31) == base
 
     @pytest.mark.parametrize("path,seed,expected", [
-        ("fast-gamma", 101, 9693),
+        ("fast-gamma", 101, 9538),
+        ("random-kernel", 105, 9793),
         ("full-ginibre", 102, 9714),
         ("phase-point", 103, 9599),
         ("state", 104, 1099),

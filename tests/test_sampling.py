@@ -5,6 +5,7 @@ from scipy import stats
 from wignerlab.kernels import two_block_spectrum
 from wignerlab.montecarlo import estimate_global, wilson_interval
 from wignerlab.sampling import (
+    gamma_batch,
     ginibre_batch,
     haar_batch,
     haar_unitary,
@@ -76,6 +77,18 @@ class TestRowEnergies:
         e = row_energies_batch(10**5, 8, np.random.default_rng(2))
         assert np.abs(e.mean(axis=0) - 16.0).max() < 0.15
         assert abs(e.var(ddof=1) - 32.0) < 0.96
+
+    @pytest.mark.parametrize("n", [2, 7, 64])
+    def test_equal_shapes_halve_row_energies(self, n):
+        """N blocks of shape N draw exactly the row energies over 2, so the
+        fast path keeps the streams of kernels with all-distinct eigenvalues."""
+        g = gamma_batch(1000, np.full(n, float(n)), np.random.default_rng(n))
+        assert np.array_equal(2.0 * g, row_energies_batch(1000, n, np.random.default_rng(n)))
+
+    def test_block_shapes_by_column(self):
+        g = gamma_batch(10**5, np.array([3.0, 12.0]), np.random.default_rng(8))
+        assert g.shape == (10**5, 2)
+        assert np.abs(g.mean(axis=0) - [3.0, 12.0]).max() < 0.1
 
     def test_single_draw_shape(self):
         e = sample_row_energies(5, np.random.default_rng(0))
