@@ -3,9 +3,9 @@
 The probability that a Hilbert-Schmidt-random N-level state has a negative
 Wigner-type phase-space symbol is estimated by seeded sampling
 (:func:`estimate_global`, :func:`estimate_state`, :func:`run_sweep`) and
-computed exactly (:func:`two_block_exact`, :func:`cf_inversion_exact`,
-:func:`limit_quantumness`) for kernels described by their eigenvalue
-spectra (:class:`KernelSpectrum`).
+computed exactly (:func:`negative_probability`, :func:`two_block_exact`,
+:func:`cf_inversion_exact`, :func:`limit_quantumness`) for kernels described
+by their eigenvalue spectra (:class:`KernelSpectrum`).
 """
 from .kernels import (
     KernelMoments,
@@ -34,6 +34,7 @@ from .oracles import (
     cf_inversion_exact,
     clt_probability,
     limit_quantumness,
+    negative_probability,
     two_block_exact,
 )
 from .sampling import (
@@ -44,7 +45,6 @@ from .sampling import (
     hs_state,
     row_energies_batch,
     sample_ginibre,
-    sample_row_energies,
     wigner_value,
 )
 
@@ -61,7 +61,6 @@ __all__ = [
     "sample_ginibre",
     "ginibre_batch",
     "hs_state",
-    "sample_row_energies",
     "row_energies_batch",
     "gamma_batch",
     "haar_unitary",
@@ -80,6 +79,7 @@ __all__ = [
     "OracleResult",
     "ConvergenceError",
     "limit_quantumness",
+    "negative_probability",
     "two_block_exact",
     "cf_inversion_exact",
     "clt_probability",

@@ -168,19 +168,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _kernel_oracle(selector: KernelSelector, spectrum: KernelSpectrum,
                    cf: bool = False, tol: float = 1e-10) -> OracleResult:
-    """Beta closed form for two-block kernels unless ``cf``, CF inversion otherwise.
-
-    Either route raises ConvergenceError when its error bound exceeds ``tol``.
-    """
+    """Beta closed form for two-block kernels unless ``cf``, CF inversion otherwise."""
     if selector.kind != "two-block" or cf:
         return cf_inversion_exact(spectrum, tol=tol)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    result = two_block_exact(spectrum.dimension, selector.k)
-    if result.estimated_abs_error > tol:
-        raise ConvergenceError(
-            f"beta closed form error bound {result.estimated_abs_error:.3e} exceeds tol {tol:.3e}")
-    return result
+    return two_block_exact(spectrum.dimension, selector.k)
 
 
 def _cmd_kernel(args) -> int:
@@ -310,15 +301,20 @@ def _cmd_oracle(args) -> int:
               args.two_block is not None or args.random_seed is not None]
     if sum(chosen) != 1:
         raise ValueError("choose exactly one of --limit, --clt T, or a kernel family with --n")
+    if not args.tol > 0.0:
+        raise ValueError(f"tol must be positive, got {args.tol!r}")
     if args.limit:
         result = limit_quantumness()
     elif args.clt is not None:
-        result = clt_probability(args.clt)
+        result = clt_probability(args.clt, tol=args.tol)
     else:
         if args.n is None:
             raise ValueError("kernel-family oracles need --n")
         selector = _selector_from_args(args)
         result = _kernel_oracle(selector, selector.build(args.n), cf=args.cf, tol=args.tol)
+    if result.estimated_abs_error > args.tol:
+        raise ConvergenceError(
+            f"{result.method} error bound {result.estimated_abs_error:.3e} exceeds tol {args.tol:.3e}")
     row = {key: getattr(result, key) for key in ORACLE_COLUMNS}
     _emit(_render([row], ORACLE_COLUMNS, args.format, single=True), args.out)
     return 0
@@ -416,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--cf", action="store_true",
                           help="force characteristic-function inversion for two-block kernels")
     p_oracle.add_argument("--tol", type=float, default=1e-10,
-                          help="error tolerance; the oracle fails (exit 3) if it cannot meet it")
+                          help="error tolerance for every route; the oracle fails (exit 3) "
+                               "if its error bound exceeds it")
     _add_output_flags(p_oracle)
     p_oracle.set_defaults(handler=_cmd_oracle)
 

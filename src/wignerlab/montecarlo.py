@@ -153,11 +153,16 @@ class NegativityEstimate:
             raise ValueError("interval does not bracket p_hat inside [0, 1]")
 
 
-def _check_trials_seed(trials: int, seed: int) -> None:
+def _check_run(trials: int, seed: int, workers: int, z: float) -> None:
+    """Raise ValueError unless the run arguments are usable; z as in wilson_interval."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit non-negative integer, got {seed}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not (math.isfinite(z) and z > 0.0):
+        raise ValueError(f"z must be positive and finite, got {z!r}")
 
 
 def _finish(trials: int, negatives: int, seed: int, method: str, z: float) -> NegativityEstimate:
@@ -203,9 +208,7 @@ def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
     NegativityEstimate
     """
     spectrum.validate()
-    _check_trials_seed(trials, seed)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_run(trials, seed, workers, z)
     if method not in ("fast-gamma", "full-ginibre"):
         raise ValueError(f"unknown method {method!r}")
     n = spectrum.dimension
@@ -269,9 +272,7 @@ def estimate_state(rho: np.ndarray, spectrum: KernelSpectrum, trials: int, seed:
     ``rho`` must pass :func:`check_state` at the kernel's dimension.
     """
     spectrum.validate()
-    _check_trials_seed(trials, seed)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_run(trials, seed, workers, z)
     n = spectrum.dimension
     rho = check_state(rho, n)
     weights = spectrum.expanded()
@@ -357,9 +358,7 @@ class SweepConfig:
         object.__setattr__(self, "kernels", tuple(self.kernels))
         if any(n < 2 for n in self.dimensions):
             raise ValueError("every dimension must be >= 2")
-        _check_trials_seed(self.trials, self.seed)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        _check_run(self.trials, self.seed, self.workers, self.z)
         if self.method not in ("fast-gamma", "full-ginibre"):
             raise ValueError(f"unknown method {self.method!r}")
 

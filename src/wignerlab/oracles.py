@@ -1,11 +1,14 @@
 """Exact and asymptotic negativity probabilities, no sampling involved.
 
-Every routine answers the same question: with what probability is a weighted
-sum of independent gamma(shape N, scale 2) variables negative, the weights
-being kernel eigenvalues expanded by multiplicity.  Routes: a regularized
-incomplete beta closed form (two-block kernels), characteristic-function
-inversion (any kernel), a quadrature for the large-N normal reduction, and
-the limit constant itself.
+Every routine answers one question: with what probability is
+S = sum_j w_j G(s_j) negative, the G(s_j) independent standard gammas of
+shape s_j?  For a kernel the weights w_j are its distinct eigenvalues and the
+shapes s_j are N times their multiplicities.  :func:`negative_probability`
+takes (w, s) and routes two weights of opposite sign to a regularized
+incomplete beta closed form and everything else to characteristic-function
+inversion; :func:`two_block_exact` and :func:`cf_inversion_exact` are its
+kernel front ends.  A quadrature for the large-N normal reduction and the
+limit constant itself complete the set.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ __all__ = [
     "OracleResult",
     "ConvergenceError",
     "limit_quantumness",
+    "negative_probability",
     "two_block_exact",
     "cf_inversion_exact",
     "clt_probability",
@@ -29,6 +33,9 @@ __all__ = [
 
 #: Value of (1/2) erfc(1/sqrt(2)) = 1 - Phi(1), the infinite-dimension limit.
 LIMIT_VALUE = 0.5 * math.erfc(1.0 / math.sqrt(2.0))
+
+# absolute error bound of the beta closed form
+_BETA_ERROR = 5e-13
 
 
 class ConvergenceError(RuntimeError):
@@ -72,98 +79,96 @@ def limit_quantumness() -> OracleResult:
     return OracleResult(value=LIMIT_VALUE, method="limit", estimated_abs_error=1e-16)
 
 
-def two_block_exact(n_levels: int, k: int) -> OracleResult:
-    """Exact negativity probability for the two-block kernel (N, k).
+def negative_probability(weights, shapes, tol: float = 1e-10) -> OracleResult:
+    """P(sum_j w_j G(s_j) < 0) for independent standard gammas G(s_j).
 
-    With eigenvalues a > 0 > b of multiplicities N-k and k, the weighted
-    gamma sum is negative exactly when a*X < |b|*Y for independent
-    X ~ gamma(N(N-k), 2) and Y ~ gamma(Nk, 2), so the probability is the
-    regularized incomplete beta I_x(N(N-k), Nk) at x = r/(1+r), r = |b|/a.
+    Two weights w+ > 0 > w- give the regularized incomplete beta I_x(s+, s-)
+    at x = r/(1+r), r = |w-|/w+, a continued fraction verified against
+    50-digit arithmetic to < 5e-13 on the two-block kernels up to N = 512.
+    Any other input goes to the CF inversion of :func:`cf_inversion_exact`.
 
     Parameters
     ----------
-    n_levels : int
-        Dimension N >= 2.
-    k : int
-        Multiplicity of the negative eigenvalue, 1 <= k <= N-1.
+    weights : array_like
+        1-D and finite, with at least one positive and one negative entry.
+    shapes : array_like
+        1-D, as long as ``weights``, finite and positive.
+    tol : float
+        Requested absolute error bound, positive.
 
-    Returns
-    -------
-    OracleResult
-        method ``"beta-closed-form"``.  The regularized incomplete beta is
-        evaluated by a continued-fraction routine with the symmetry switch
-        at x > (alpha+1)/(alpha+beta+2); verified against 50-digit
-        arithmetic to < 5e-13 absolute up to N = 512.
+    Raises
+    ------
+    ValueError
+        If an input breaks these rules; NaN breaks every one.
+    ConvergenceError
+        If the route's error bound exceeds ``tol``.
+    """
+    w, s = _checked(weights, shapes, tol)
+    if w.size > 2:
+        return _cf_inversion(w, s, tol)
+    if _BETA_ERROR > tol:
+        raise ConvergenceError(
+            f"beta closed form error bound {_BETA_ERROR:.3e} exceeds tol {tol:.3e}")
+    if w[0] < 0.0:
+        w, s = w[::-1], s[::-1]
+    r = -w[1] / w[0]
+    x = r / (1.0 + r)
+    value = float(betainc(s[0], s[1], x))
+    return OracleResult(value=value, method="beta-closed-form", estimated_abs_error=_BETA_ERROR)
+
+
+def _checked(weights, shapes, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    w = np.asarray(weights, dtype=float)
+    s = np.asarray(shapes, dtype=float)
+    if w.ndim != 1 or w.shape != s.shape:
+        raise ValueError(f"weights {w.shape} and shapes {s.shape} must be 1-D of equal length")
+    # min and max propagate NaN, which fails every comparison
+    if not -math.inf < w.min() < 0.0 < w.max() < math.inf:
+        raise ValueError("weights must be finite with at least one of each sign")
+    if not 0.0 < s.min() <= s.max() < math.inf:
+        raise ValueError("shapes must be finite and positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    return w, s
+
+
+def two_block_exact(n_levels: int, k: int) -> OracleResult:
+    """Exact negativity probability for the two-block kernel (N, k), 1 <= k < N.
+
+    The beta closed form of :func:`negative_probability`: eigenvalues a > 0 > b
+    of multiplicities N-k and k give I_x(N(N-k), Nk) at x = r/(1+r), r = |b|/a.
     """
     spectrum = two_block_spectrum(n_levels, k)
-    (a, _), (b, _) = spectrum.eigenvalues
-    r = -b / a
-    x = r / (1.0 + r)
-    n = n_levels
-    value = float(betainc(n * (n - k), n * k, x))
-    return OracleResult(value=value, method="beta-closed-form", estimated_abs_error=5e-13)
-
-
-def _log_cf_factory(weights: np.ndarray, powers: np.ndarray):
-    """Characteristic function u -> phi(u) of the weighted gamma sum.
-
-    phi(u) = prod_j (1 - 2i w_j u)^(-p_j) with p_j = N * multiplicity_j.
-    """
-
-    def cf(u: float) -> complex:
-        lp = -(powers * np.log1p(-2j * weights * u)).sum()
-        if lp.real < -700.0:
-            # |phi| below ~1e-304: treat as zero rather than underflow
-            return 0.0j
-        return complex(np.exp(lp))
-
-    return cf
+    return negative_probability(spectrum.values, spectrum.shapes)
 
 
 def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleResult:
     """Negativity probability for an arbitrary kernel via CF inversion.
 
-    Inverts the characteristic function of S = sum_j pi_j G_j, with the G_j
-    independent gamma(shape N, scale 2), through the Gil-Pelaez formula
+    The CF route of :func:`negative_probability` on the weights w_j (distinct
+    eigenvalues) and shapes s_j (N times multiplicities), taken for two-block
+    kernels too, as the cross-check of the beta form.  The characteristic
+    function phi(u) = prod_j (1 - 2i w_j u)^(-s_j) of 2S, which has the sign of
+    S, is inverted by the Gil-Pelaez formula
 
         P(S < 0) = 1/2 - (1/pi) * integral_0^inf Im phi(u) / u du.
 
-    The integrand has a removable endpoint (it tends to 2N as u -> 0) and
-    decays like u^(-N^2), so the integral is truncated at a U found by
-    doubling until |phi(U)|/U < tol/100; the discarded tail is bounded by
-    the local power-law decay rate and folded into the error estimate.
-
-    Parameters
-    ----------
-    spectrum : KernelSpectrum
-        Any valid kernel spectrum.
-    tol : float
-        Requested absolute error bound on the probability.
-
-    Returns
-    -------
-    OracleResult
-        method ``"cf-inversion"``.
-
-    Raises
-    ------
-    ConvergenceError
-        If quadrature error plus tail bound cannot certify ``tol``.
+    The integrand is finite at u = 0 and decays like u^(-sum_j s_j), so the
+    integral is truncated at a U found by doubling until |phi(U)|/U < tol/100;
+    the discarded tail is bounded by the local power-law decay rate and folded
+    into the error estimate, which raises ConvergenceError above ``tol``.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     spectrum.validate()
-    n = spectrum.dimension
-    weights = np.asarray(spectrum.values, dtype=float)
-    powers = spectrum.shapes
-    cf = _log_cf_factory(weights, powers)
+    return _cf_inversion(*_checked(spectrum.values, spectrum.shapes, tol), tol)
 
-    endpoint = 2.0 * float(n)  # lim_{u->0} Im phi(u)/u, since sum m_j w_j = 1
 
-    def integrand(u: float) -> float:
-        if u == 0.0:
-            return endpoint
-        return cf(u).imag / u
+def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> OracleResult:
+    def cf(u: float) -> complex:
+        lp = -(shapes * np.log1p(-2j * weights * u)).sum()
+        if lp.real < -700.0:
+            # |phi| below ~1e-304: treat as zero rather than underflow
+            return 0.0j
+        return complex(np.exp(lp))
 
     # truncation point: double until the CF envelope is negligible
     upper = 1.0
@@ -175,11 +180,13 @@ def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleRe
     else:
         raise ConvergenceError(f"no truncation point below 2^200 for tol={tol!r}")
 
-    integral, quad_err = quad(integrand, 0.0, upper, limit=2000, epsabs=tol * 0.1, epsrel=1e-12)
+    # quad's Gauss-Kronrod nodes are interior, so u = 0 is never evaluated
+    integral, quad_err = quad(lambda u: cf(u).imag / u, 0.0, upper,
+                              limit=2000, epsabs=tol * 0.1, epsrel=1e-12)
 
     # |phi(u)| <= |phi(U)| (U/u)^gamma for u >= U, with gamma the local
     # log-log slope; integrating the envelope bounds the discarded tail.
-    gamma = float((powers * (4.0 * weights**2 * upper**2)
+    gamma = float((shapes * (4.0 * weights**2 * upper**2)
                    / (1.0 + 4.0 * weights**2 * upper**2)).sum())
     tail_bound = abs(cf(upper)) / gamma if gamma > 0 else math.inf
 

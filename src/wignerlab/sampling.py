@@ -19,7 +19,6 @@ __all__ = [
     "sample_ginibre",
     "ginibre_batch",
     "hs_state",
-    "sample_row_energies",
     "row_energies_batch",
     "gamma_batch",
     "haar_unitary",
@@ -70,18 +69,6 @@ def gamma_batch(count: int, shapes: np.ndarray, rng: np.random.Generator) -> np.
     if (shapes == shapes[0]).all():
         return rng.standard_gamma(shapes[0], size=(count, shapes.size))
     return rng.standard_gamma(shapes, size=(count, shapes.size))
-
-
-def sample_row_energies(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Diagonal of z z^dagger without materializing z.
-
-    Each row energy sums n squared moduli of complex-normal entries, i.e. n
-    chi-square(2) terms, which is exactly a gamma(shape=n, scale=2) deviate,
-    so the n diagonal entries are sampled directly.
-    """
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    return row_energies_batch(1, n, rng)[0]
 
 
 def haar_batch(count: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 from wignerlab.cli import CSV_COLUMNS, load_state_file, main
 
 LIMIT = 0.15865525393145705
+BETA = ["--n", "3", "--two-block", "1"]
 
 
 def run_cli(capsys, *argv):
@@ -238,6 +239,13 @@ class TestSweepCommand:
                              "--trials", "16", "--seed", "1", "--out", str(target))
         assert code == 3
 
+    @pytest.mark.parametrize("z", ["inf", "0", "nan"])
+    def test_z_rejected_before_sampling(self, capsys, z):
+        code, out, err = run_cli(capsys, "sweep", "--n", "2", "--kernels", "k=1",
+                                 "--trials", "100", "--z", z)
+        assert code == 2 and out == ""
+        assert "z must be" in err and "sweep point" not in err
+
     def test_bad_kernel_token(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "2", "--kernels", "q=3",
                                "--trials", "16", "--seed", "1")
@@ -284,12 +292,14 @@ class TestOracleCommand:
         assert float(rows[0][0]) == pytest.approx(0.11509982054024949, abs=1e-8)
 
     @pytest.mark.parametrize("route,tol,code", [
-        ([], "1e-30", 3), (["--cf"], "1e-30", 3), ([], "1e-12", 0), ([], "0", 2), ([], "nan", 2),
-    ], ids=["beta-tight", "cf-tight", "beta-met", "zero", "nan"])
+        (BETA, "1e-30", 3), (BETA + ["--cf"], "1e-30", 3), (BETA, "1e-12", 0), (BETA, "0", 2),
+        (BETA, "nan", 2), (["--clt", "2.0"], "1e-30", 3), (["--limit"], "1e-30", 3),
+        (["--limit"], "0", 2),
+    ], ids=["beta-tight", "cf-tight", "beta-met", "zero", "nan", "clt-tight", "limit-tight",
+            "limit-zero"])
     def test_tol_enforced_on_every_route(self, capsys, route, tol, code):
-        """The beta form's fixed 5e-13 bound must meet --tol like CF inversion's."""
-        got, out, err = run_cli(capsys, "oracle", "--n", "3", "--two-block", "1", "--tol", tol,
-                                *route)
+        """Every route's error bound, fixed or computed, must meet --tol."""
+        got, out, err = run_cli(capsys, "oracle", *route, "--tol", tol)
         assert got == code
         if code == 0:
             assert parse_csv(out)[1][0][1] == "beta-closed-form"

@@ -120,6 +120,8 @@ class TestEstimateGlobal:
             estimate_global(spec, 10, -1)
         with pytest.raises(ValueError):
             estimate_global(spec, 10, 1, workers=0)
+        with pytest.raises(ValueError, match="z must be"):
+            estimate_global(spec, 10, 1, z=float("inf"))
 
     def test_phase_point_needs_full_ginibre(self):
         spec = two_block_spectrum(2, 1)
@@ -359,3 +361,6 @@ class TestSweep:
             SweepConfig(dimensions=(2,), kernels=(), trials=0, seed=0)
         with pytest.raises(ValueError):
             SweepConfig(dimensions=(2,), kernels=(), trials=10, seed=0, method="magic")
+        for z in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError, match="z must be"):
+                SweepConfig(dimensions=(2,), kernels=(), trials=10, seed=0, z=z)

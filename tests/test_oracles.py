@@ -1,18 +1,21 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wignerlab.kernels import KernelSpectrum, random_spectrum, two_block_spectrum
-from wignerlab.montecarlo import estimate_global
+from wignerlab.montecarlo import KernelSelector, estimate_global, wilson_interval
 from wignerlab.oracles import (
     ConvergenceError,
     OracleResult,
     cf_inversion_exact,
     clt_probability,
     limit_quantumness,
+    negative_probability,
     two_block_exact,
 )
+from wignerlab.sampling import gamma_batch
 
 LIMIT = 0.15865525393145705
 
@@ -29,6 +32,46 @@ BETA_REFS = {
     (256, 1): 0.15850440975481005433,
     (512, 3): 0.15862946502961226739,
 }
+
+# (value, estimated_abs_error) in float hex for two_block_exact(N, k) ("beta"),
+# cf_inversion_exact(two_block_spectrum(N, k)) ("cf") and
+# cf_inversion_exact(KernelSelector.random(11).build(N)) ("cf-random").  They pin
+# the (weights, shapes) core bit for bit; a change to either route that moves a
+# value on purpose updates its pins here.
+ORACLE_PINS = {
+    ("beta", 2, 1): ("0x1.d772e8cfeef64p-4", "0x1.19799812dea11p-41"),
+    ("beta", 3, 1): ("0x1.2800000000000p-3", "0x1.19799812dea11p-41"),
+    ("beta", 8, 1): ("0x1.3c6335e7ba594p-3", "0x1.19799812dea11p-41"),
+    ("beta", 8, 4): ("0x1.40fa3788ec0c4p-3", "0x1.19799812dea11p-41"),
+    ("beta", 16, 1): ("0x1.408294fc7060dp-3", "0x1.19799812dea11p-41"),
+    ("beta", 16, 8): ("0x1.43f40d67780f1p-3", "0x1.19799812dea11p-41"),
+    ("beta", 64, 1): ("0x1.43bd758ee1b7bp-3", "0x1.19799812dea11p-41"),
+    ("beta", 64, 32): ("0x1.44dd8e0f34764p-3", "0x1.19799812dea11p-41"),
+    ("beta", 512, 1): ("0x1.44c50182f48b4p-3", "0x1.19799812dea11p-41"),
+    ("beta", 512, 256): ("0x1.44eccdc5ecb0ep-3", "0x1.19799812dea11p-41"),
+    ("beta", 2048, 1): ("0x1.44e2e19cb5bd3p-3", "0x1.19799812dea11p-41"),
+    ("beta", 2048, 1024): ("0x1.44ed07d8ae3d4p-3", "0x1.19799812dea11p-41"),
+    ("beta", 16384, 1): ("0x1.44ebc32c0bf1cp-3", "0x1.19799812dea11p-41"),
+    ("beta", 16384, 8192): ("0x1.44ed0ba84d793p-3", "0x1.19799812dea11p-41"),
+    ("cf", 2, 1): ("0x1.d772e8cfef78cp-4", "0x1.680dce11ffaa1p-38"),
+    ("cf", 3, 1): ("0x1.27fffffffffe0p-3", "0x1.1f3fbb11b6bc3p-40"),
+    ("cf", 8, 1): ("0x1.3c6335e7ba584p-3", "0x1.41cb173814893p-39"),
+    ("cf", 8, 4): ("0x1.40fa3788ec0b6p-3", "0x1.714921c9868fbp-48"),
+    ("cf", 16, 1): ("0x1.408294fc7062cp-3", "0x1.7255d7340a3d8p-42"),
+    ("cf", 16, 8): ("0x1.43f40d67780c2p-3", "0x1.86b7abd5262a0p-47"),
+    ("cf", 64, 1): ("0x1.43bd758ee1b26p-3", "0x1.2f96457383a9ep-40"),
+    ("cf", 64, 32): ("0x1.44dd8e0f34612p-3", "0x1.b91f28d274b08p-46"),
+    ("cf-random", 3, None): ("0x1.27fbc84de9e80p-3", "0x1.199a352dd56a1p-40"),
+    ("cf-random", 7, None): ("0x1.3dc01078332f6p-3", "0x1.5af8ed5fa1117p-48"),
+    ("cf-random", 16, None): ("0x1.4287d62d3e3a6p-3", "0x1.7a2d03ce5e076p-48"),
+    ("cf-random", 64, None): ("0x1.44b9ffe7c5990p-3", "0x1.0bf2d5e974914p-46"),
+}
+
+
+def _binomial_tail(p: int, q: int, x: Fraction) -> float:
+    """I_x(p, q) = P(Binomial(p+q-1, x) >= p), summed exactly."""
+    n = p + q - 1
+    return float(sum(math.comb(n, j) * x**j * (1 - x) ** (n - j) for j in range(p, n + 1)))
 
 
 def _erfc_series(x: float) -> float:
@@ -135,6 +178,61 @@ class TestCfInversion:
         for n in (3, 5, 9):
             res = cf_inversion_exact(random_spectrum(n, rng))
             assert 0.0 < res.value < 1.0
+
+
+class TestNegativeProbability:
+    @pytest.mark.parametrize("route,n,k", sorted(ORACLE_PINS, key=str))
+    def test_pinned_values(self, route, n, k):
+        if route == "beta":
+            res = two_block_exact(n, k)
+        else:
+            spec = two_block_spectrum(n, k) if route == "cf" else KernelSelector.random(11).build(n)
+            res = cf_inversion_exact(spec)
+            if route == "cf-random":  # more than two blocks: the core itself routes to CF
+                assert negative_probability(spec.values, spec.shapes) == res
+        assert (res.value.hex(), res.estimated_abs_error.hex()) == ORACLE_PINS[(route, n, k)]
+
+    @pytest.mark.parametrize("weights,x", [((1.0, -1.0), Fraction(1, 2)),
+                                           ((3.0, -1.0), Fraction(1, 4))])
+    @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (40, 40), (175, 525), (250, 260), (500, 700)])
+    def test_beta_route_against_binomial_sum(self, weights, x, p, q):
+        """Non-kernel weights and shapes, in either order, against an exact
+        integer-arithmetic reference."""
+        ref = _binomial_tail(p, q, x)
+        res = negative_probability(weights, (p, q))
+        assert res.method == "beta-closed-form"
+        assert res.value == pytest.approx(ref, abs=5e-13)
+        assert negative_probability(weights[::-1], (q, p)).value == res.value
+
+    def test_cf_route_three_blocks_non_integer_shapes(self):
+        w, s = np.array([1.0, 0.4, -0.9]), np.array([1.5, 2.5, 4.0])
+        res = negative_probability(w, s)
+        assert res.method == "cf-inversion" and res.estimated_abs_error <= 1e-10
+        trials = 1 << 20
+        negatives = int(np.count_nonzero(gamma_batch(trials, s, np.random.default_rng(17)) @ w < 0))
+        low, high = wilson_interval(negatives, trials, z=5.0)
+        assert low <= res.value <= high
+
+    @pytest.mark.parametrize("weights,shapes,tol,fragment", [
+        ((1.0, -1.0, 0.5), (1.0, 2.0), 1e-10, "equal length"),
+        ((1.0, math.nan), (1.0, 2.0), 1e-10, "weights"),
+        ((1.0, -math.inf), (1.0, 2.0), 1e-10, "weights"),
+        ((1.0, -1.0), (1.0, 0.0), 1e-10, "shapes"),
+        ((1.0, -1.0), (1.0, -2.0), 1e-10, "shapes"),
+        ((1.0, -1.0), (math.nan, 2.0), 1e-10, "shapes"),
+        ((1.0, 2.0), (1.0, 2.0), 1e-10, "each sign"),
+        (((1.0, -1.0),), ((1.0, 2.0),), 1e-10, "1-D"),
+        ((1.0, -1.0), (1.0, 2.0), math.nan, "tol"),
+        ((1.0, -1.0), (1.0, 2.0), 0.0, "tol"),
+    ], ids=["lengths", "nan-weight", "inf-weight", "zero-shape", "negative-shape", "nan-shape",
+            "one-sign", "two-dimensional", "nan-tol", "zero-tol"])
+    def test_invalid_inputs(self, weights, shapes, tol, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            negative_probability(weights, shapes, tol)
+
+    def test_beta_route_unreachable_tolerance_raises(self):
+        with pytest.raises(ConvergenceError):
+            negative_probability((1.0, -1.0), (2.0, 3.0), tol=1e-15)
 
 
 class TestCltQuadrature:

@@ -12,7 +12,6 @@ from wignerlab.sampling import (
     hs_state,
     row_energies_batch,
     sample_ginibre,
-    sample_row_energies,
     wigner_value,
 )
 
@@ -89,11 +88,6 @@ class TestRowEnergies:
         g = gamma_batch(10**5, np.array([3.0, 12.0]), np.random.default_rng(8))
         assert g.shape == (10**5, 2)
         assert np.abs(g.mean(axis=0) - [3.0, 12.0]).max() < 0.1
-
-    def test_single_draw_shape(self):
-        e = sample_row_energies(5, np.random.default_rng(0))
-        assert e.shape == (5,)
-        assert np.all(e >= 0)
 
     def test_sign_law_matches_full_construction(self):
         """The fast path draws the state's diagonal reduction directly; its
