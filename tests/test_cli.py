@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from wignerlab.cli import CSV_COLUMNS, load_state_file, main
+from wignerlab.oracles import two_block_exact
 
 LIMIT = 0.15865525393145705
 BETA = ["--n", "3", "--two-block", "1"]
@@ -282,7 +283,8 @@ class TestOracleCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload == {"value": pytest.approx(0.15622696067816964988, abs=5e-13),
-                           "method": "beta-closed-form", "estimated_abs_error": 5e-13}
+                           "method": "beta-closed-form",
+                           "estimated_abs_error": two_block_exact(8, 2).estimated_abs_error}
 
     def test_cf_flag_switches_method(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "2", "--two-block", "1", "--cf")

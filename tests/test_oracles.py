@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wignerlab import oracles
 from wignerlab.kernels import KernelSpectrum, random_spectrum, two_block_spectrum
 from wignerlab.montecarlo import KernelSelector, estimate_global, wilson_interval
 from wignerlab.oracles import (
@@ -39,32 +40,32 @@ BETA_REFS = {
 # the (weights, shapes) core bit for bit; a change to either route that moves a
 # value on purpose updates its pins here.
 ORACLE_PINS = {
-    ("beta", 2, 1): ("0x1.d772e8cfeef64p-4", "0x1.19799812dea11p-41"),
-    ("beta", 3, 1): ("0x1.2800000000000p-3", "0x1.19799812dea11p-41"),
-    ("beta", 8, 1): ("0x1.3c6335e7ba594p-3", "0x1.19799812dea11p-41"),
-    ("beta", 8, 4): ("0x1.40fa3788ec0c4p-3", "0x1.19799812dea11p-41"),
-    ("beta", 16, 1): ("0x1.408294fc7060dp-3", "0x1.19799812dea11p-41"),
-    ("beta", 16, 8): ("0x1.43f40d67780f1p-3", "0x1.19799812dea11p-41"),
-    ("beta", 64, 1): ("0x1.43bd758ee1b7bp-3", "0x1.19799812dea11p-41"),
-    ("beta", 64, 32): ("0x1.44dd8e0f34764p-3", "0x1.19799812dea11p-41"),
-    ("beta", 512, 1): ("0x1.44c50182f48b4p-3", "0x1.19799812dea11p-41"),
-    ("beta", 512, 256): ("0x1.44eccdc5ecb0ep-3", "0x1.19799812dea11p-41"),
-    ("beta", 2048, 1): ("0x1.44e2e19cb5bd3p-3", "0x1.19799812dea11p-41"),
-    ("beta", 2048, 1024): ("0x1.44ed07d8ae3d4p-3", "0x1.19799812dea11p-41"),
-    ("beta", 16384, 1): ("0x1.44ebc32c0bf1cp-3", "0x1.19799812dea11p-41"),
-    ("beta", 16384, 8192): ("0x1.44ed0ba84d793p-3", "0x1.19799812dea11p-41"),
-    ("cf", 2, 1): ("0x1.d772e8cfef78cp-4", "0x1.680dce11ffaa1p-38"),
-    ("cf", 3, 1): ("0x1.27fffffffffe0p-3", "0x1.1f3fbb11b6bc3p-40"),
-    ("cf", 8, 1): ("0x1.3c6335e7ba584p-3", "0x1.41cb173814893p-39"),
-    ("cf", 8, 4): ("0x1.40fa3788ec0b6p-3", "0x1.714921c9868fbp-48"),
-    ("cf", 16, 1): ("0x1.408294fc7062cp-3", "0x1.7255d7340a3d8p-42"),
-    ("cf", 16, 8): ("0x1.43f40d67780c2p-3", "0x1.86b7abd5262a0p-47"),
-    ("cf", 64, 1): ("0x1.43bd758ee1b26p-3", "0x1.2f96457383a9ep-40"),
-    ("cf", 64, 32): ("0x1.44dd8e0f34612p-3", "0x1.b91f28d274b08p-46"),
-    ("cf-random", 3, None): ("0x1.27fbc84de9e80p-3", "0x1.199a352dd56a1p-40"),
-    ("cf-random", 7, None): ("0x1.3dc01078332f6p-3", "0x1.5af8ed5fa1117p-48"),
-    ("cf-random", 16, None): ("0x1.4287d62d3e3a6p-3", "0x1.7a2d03ce5e076p-48"),
-    ("cf-random", 64, None): ("0x1.44b9ffe7c5990p-3", "0x1.0bf2d5e974914p-46"),
+    ("beta", 2, 1): ("0x1.d772e8cfeef6ap-4", "0x1.19de8b6169c17p-41"),
+    ("beta", 3, 1): ("0x1.2800000000000p-3", "0x1.19cd9812dea11p-41"),
+    ("beta", 8, 1): ("0x1.3c6335e7ba58ep-3", "0x1.19e1dd0df8487p-41"),
+    ("beta", 8, 4): ("0x1.40fa3788ec0c0p-3", "0x1.1a909cc695c03p-41"),
+    ("beta", 16, 1): ("0x1.408294fc705f5p-3", "0x1.1a034553da86cp-41"),
+    ("beta", 16, 8): ("0x1.43f40d67780e9p-3", "0x1.1b882f89fa321p-41"),
+    ("beta", 64, 1): ("0x1.43bd758ee1b9ep-3", "0x1.1a7cf37ee16f2p-41"),
+    ("beta", 64, 32): ("0x1.44dd8e0f34791p-3", "0x1.2156cb566b9c6p-41"),
+    ("beta", 512, 1): ("0x1.44c50182f5b0cp-3", "0x1.1c411768c490cp-41"),
+    ("beta", 512, 256): ("0x1.44eccdc5eca8cp-3", "0x1.578a5c18ddbadp-41"),
+    ("beta", 2048, 1): ("0x1.44e2e19cb0f53p-3", "0x1.1efdb9dae319dp-41"),
+    ("beta", 2048, 1024): ("0x1.44ed07d8ae673p-3", "0x1.08afdebf73896p-40"),
+    ("beta", 16384, 1): ("0x1.44ebc32c0c0e6p-3", "0x1.29006b7a3d79ap-41"),
+    ("beta", 16384, 8192): ("0x1.44ed0ba84eae1p-3", "0x1.1afa2ddc24e4cp-38"),
+    ("cf", 2, 1): ("0x1.d772e8cff32ecp-4", "0x1.b7b863768e2b9p-35"),
+    ("cf", 3, 1): ("0x1.27ffffff3a502p-3", "0x1.b4704dc79a448p-35"),
+    ("cf", 8, 1): ("0x1.3c6335e767a32p-3", "0x1.ae6aa510c6abbp-35"),
+    ("cf", 8, 4): ("0x1.40fa3788e2498p-3", "0x1.0ae84574dce91p-35"),
+    ("cf", 16, 1): ("0x1.408294fc7d246p-3", "0x1.9ea0a2e879caap-35"),
+    ("cf", 16, 8): ("0x1.43f40d67775eep-3", "0x1.10c06f238a434p-35"),
+    ("cf", 64, 1): ("0x1.43bd758ede676p-3", "0x1.ec7924a0e4f24p-36"),
+    ("cf", 64, 32): ("0x1.44dd8e0f38af4p-3", "0x1.9f77c0cfd6aa5p-35"),
+    ("cf-random", 3, None): ("0x1.27fbc84d28aa8p-3", "0x1.af6847b26984bp-35"),
+    ("cf-random", 7, None): ("0x1.3dc010781dbdap-3", "0x1.4105f32808e09p-35"),
+    ("cf-random", 16, None): ("0x1.4287d62d3a26cp-3", "0x1.03a61beeb86a9p-35"),
+    ("cf-random", 64, None): ("0x1.44b9ffe7c4a8ep-3", "0x1.5073a70355d81p-35"),
 }
 
 
@@ -72,6 +73,25 @@ def _binomial_tail(p: int, q: int, x: Fraction) -> float:
     """I_x(p, q) = P(Binomial(p+q-1, x) >= p), summed exactly."""
     n = p + q - 1
     return float(sum(math.comb(n, j) * x**j * (1 - x) ** (n - j) for j in range(p, n + 1)))
+
+
+def _two_block_binomial_reference(n: int, k: int) -> float:
+    """I_x(N(N-k), Nk) = P(Binomial(N^2 - 1, y) <= Nk - 1) at y = 1 - x, summed
+    term by term at 40 digits from the kernel's exact eigenvalues a > 0 > b."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        s = mpmath.sqrt(k * (n - k) * (n - 1) * (n + 1))
+        a = ((n - k) + s) / (n * (n - k))
+        b = (k - s) / (k * n)
+        y = a / (a - b)
+        trials = n * n - 1
+        ratio = y / (1 - y)
+        term = (1 - y) ** trials
+        total = term
+        for j in range(n * k - 1):
+            term *= ratio * (trials - j) / (j + 1)
+            total += term
+        return float(total)
 
 
 def _erfc_series(x: float) -> float:
@@ -131,6 +151,14 @@ class TestTwoBlockExact:
             ref = mpmath.betainc(n * (n - k), n * k, 0, x, regularized=True)
             assert two_block_exact(n, k).value == pytest.approx(float(ref), abs=5e-13)
 
+    @pytest.mark.parametrize("n", [512, 2048, 4096, 8192, 16384])
+    def test_both_routes_within_their_bounds_of_binomial_sum(self, n):
+        ref = _two_block_binomial_reference(n, 1)
+        beta = two_block_exact(n, 1)
+        cf = cf_inversion_exact(two_block_spectrum(n, 1))
+        assert abs(beta.value - ref) <= beta.estimated_abs_error
+        assert abs(cf.value - ref) <= cf.estimated_abs_error
+
     def test_approaches_limit(self):
         assert abs(two_block_exact(1024, 1).value - LIMIT) < 3e-4
 
@@ -142,11 +170,46 @@ class TestTwoBlockExact:
 
 class TestCfInversion:
     def test_matches_beta_on_two_block(self):
-        for n, k in [(2, 1), (8, 2)]:
+        for n, k in sorted({(2**e, k) for e in range(1, 15) for k in (1, 2**e // 2)}):
             cf = cf_inversion_exact(two_block_spectrum(n, k))
-            assert cf.value == pytest.approx(two_block_exact(n, k).value, abs=1e-8)
+            beta = two_block_exact(n, k)
+            assert abs(cf.value - beta.value) <= cf.estimated_abs_error + beta.estimated_abs_error
             assert cf.method == "cf-inversion"
             assert cf.estimated_abs_error <= 1e-10
+
+    @pytest.mark.parametrize("n", [4096, 8192])
+    def test_large_random_kernel_near_limit(self, n):
+        spec = random_spectrum(n, np.random.default_rng(n))
+        res = cf_inversion_exact(spec)
+        assert abs(res.value - LIMIT) <= 4.0 / n**2
+        if n == 4096:
+            est = estimate_global(spec, 1 << 13, 29, z=5.0)
+            assert est.ci_low <= res.value <= est.ci_high
+
+    def test_unit_shapes_match_hypoexponential_closed_form(self):
+        w = (2.0, 0.7, -1.3)
+        exact = sum(math.prod(wj / (wj - wi) for i, wi in enumerate(w) if i != j)
+                    for j, wj in enumerate(w) if wj < 0)
+        res = negative_probability(w, (1.0, 1.0, 1.0), tol=1e-8)
+        assert abs(res.value - exact) <= res.estimated_abs_error <= 1e-8
+        try:
+            tight = negative_probability(w, (1.0, 1.0, 1.0))
+        except ConvergenceError:
+            return
+        assert abs(tight.value - exact) <= tight.estimated_abs_error <= 1e-10
+
+    @pytest.mark.parametrize("spec", [two_block_spectrum(4, 1), KernelSelector.random(11).build(64)],
+                             ids=["two-block", "random"])
+    def test_block_size_does_not_change_result(self, spec, monkeypatch):
+        blocked = cf_inversion_exact(spec)
+        monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", 1)  # one node a block
+        assert cf_inversion_exact(spec) == blocked
+
+    def test_node_cap_raises_before_evaluating(self):
+        """Shapes this small make phi decay like u^(-0.03): no node up to the cap
+        can bound the truncation error, so the route says so at once."""
+        with pytest.raises(ConvergenceError, match="sigma=.*L=.*K=.*aliasing.*truncation.*roundoff"):
+            negative_probability((1.0, 0.5, -1.0), (0.01, 0.01, 0.01))
 
     def test_matches_monte_carlo_on_random_kernel(self):
         """CF inversion for a generic three-level spectrum against a
@@ -244,6 +307,11 @@ class TestCltQuadrature:
 
     def test_extreme_t(self):
         assert clt_probability(50.0).value == pytest.approx(LIMIT, abs=1e-6)
+
+    @pytest.mark.parametrize("t", [500.0, 1e3, 1e4, 1e6])
+    def test_large_t_within_reported_bound(self, t):
+        res = clt_probability(t)
+        assert abs(res.value - LIMIT) <= res.estimated_abs_error
 
     def test_rejects_negative_t(self):
         with pytest.raises(ValueError):
