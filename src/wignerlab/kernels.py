@@ -36,7 +36,6 @@ __all__ = [
 MERGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class KernelSpectrum:
     """Eigenvalue spectrum of a phase-space kernel.
 
@@ -44,11 +43,17 @@ class KernelSpectrum:
     ----------
     dimension : int
         Hilbert-space dimension N, at least 2.
-    eigenvalues : tuple of (value, multiplicity)
+    eigenvalues : sequence of (value, multiplicity)
         Distinct eigenvalues in strictly decreasing order; multiplicities
-        are positive and sum to `dimension`.
+        are positive integers and sum to `dimension`.
     label : str
         Free-text provenance tag, e.g. ``"two-block k=1"``.
+
+    The canonical form is the pair of read-only arrays `values` (float64)
+    and `multiplicities` (int64), built and checked once; the pair tuple
+    `eigenvalues` is derived from them on each access.  Instances are
+    immutable, compare and hash by (dimension, eigenvalues, label) and
+    pickle.
 
     Construction only enforces the structural shape.  Whether the spectrum
     actually satisfies the trace constraints is checked by
@@ -56,34 +61,75 @@ class KernelSpectrum:
     spectra can be built for diagnostics.
     """
 
-    dimension: int
-    eigenvalues: tuple[tuple[float, int], ...]
-    label: str = ""
+    __slots__ = ("dimension", "values", "multiplicities", "label")
 
-    def __post_init__(self):
-        if int(self.dimension) != self.dimension or self.dimension < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.dimension}")
-        pairs = tuple((float(v), int(m)) for v, m in self.eigenvalues)
-        object.__setattr__(self, "eigenvalues", pairs)
-        object.__setattr__(self, "dimension", int(self.dimension))
-        if not pairs:
+    def __init__(self, dimension: int, eigenvalues, label: str = ""):
+        if int(dimension) != dimension or dimension < 2:
+            raise ValueError(f"dimension must be an integer >= 2, got {dimension}")
+        table = np.asarray(eigenvalues, dtype=float)
+        if table.size == 0:
             raise ValueError("spectrum needs at least one eigenvalue")
-        if any(m < 1 for _, m in pairs):
+        if table.ndim != 2 or table.shape[1] != 2:
+            raise ValueError("eigenvalues must be (value, multiplicity) pairs")
+        values, counts = table.T.copy()  # the spectrum freezes them, so never the caller's array
+        # NaN fails the comparison; -inf is not positive and +inf cannot sum to the dimension
+        if not (np.rint(counts) == counts).all():
+            raise ValueError("multiplicities must be integers")
+        self._set(int(dimension), values, counts, label)
+
+    @classmethod
+    def _from_arrays(cls, dimension: int, values: np.ndarray, multiplicities: np.ndarray,
+                     label: str) -> "KernelSpectrum":
+        """Build from fresh 1-D float and integer arrays, which the spectrum takes
+        over and freezes."""
+        spectrum = cls.__new__(cls)
+        spectrum._set(dimension, values, multiplicities, label)
+        return spectrum
+
+    def _set(self, dimension: int, values: np.ndarray, multiplicities: np.ndarray,
+             label: str) -> None:
+        # NaN fails every comparison, so it fails every check it reaches
+        if not multiplicities.min() >= 1:
             raise ValueError("multiplicities must be positive")
-        if sum(m for _, m in pairs) != self.dimension:
+        if not multiplicities.sum() == dimension:
             raise ValueError("multiplicities must sum to the dimension")
-        vals = [v for v, _ in pairs]
-        if not all(u < w for u, w in zip(vals[1:], vals)):
+        if not (values[1:] < values[:-1]).all():
             raise ValueError("eigenvalues must be strictly decreasing")
+        multiplicities = multiplicities.astype(np.int64, copy=False)
+        values.setflags(write=False)
+        multiplicities.setflags(write=False)
+        for name, value in (("dimension", dimension), ("values", values),
+                            ("multiplicities", multiplicities), ("label", label)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable KernelSpectrum")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable KernelSpectrum")
+
+    def __reduce__(self):
+        return (KernelSpectrum._from_arrays,
+                (self.dimension, self.values, self.multiplicities, self.label))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dimension == other.dimension and self.label == other.label
+                and np.array_equal(self.values, other.values)
+                and np.array_equal(self.multiplicities, other.multiplicities))
+
+    def __hash__(self):
+        return hash((self.dimension, self.eigenvalues, self.label))
+
+    def __repr__(self):
+        return (f"KernelSpectrum(dimension={self.dimension!r}, "
+                f"eigenvalues={self.eigenvalues!r}, label={self.label!r})")
 
     @property
-    def values(self) -> np.ndarray:
-        """Distinct eigenvalues, decreasing."""
-        return np.array([v for v, _ in self.eigenvalues])
-
-    @property
-    def multiplicities(self) -> np.ndarray:
-        return np.array([m for _, m in self.eigenvalues], dtype=np.int64)
+    def eigenvalues(self) -> tuple[tuple[float, int], ...]:
+        """(value, multiplicity) pairs, decreasing in value."""
+        return tuple(zip(self.values.tolist(), self.multiplicities.tolist()))
 
     @property
     def shapes(self) -> np.ndarray:
@@ -106,7 +152,7 @@ class KernelSpectrum:
             raise ValueError(
                 f"trace constraints violated: residuals ({r1:.3e}, {r2:.3e}) exceed {tol:g}"
             )
-        if not self.eigenvalues[-1][0] < 0:
+        if not self.values[-1] < 0:
             raise ValueError("admissible spectra must contain a negative eigenvalue")
         return self
 
@@ -132,19 +178,27 @@ class KernelMoments:
 def spectrum_from_values(values, label: str = "") -> KernelSpectrum:
     """Build a spectrum from a flat sequence of N eigenvalues.
 
-    Values are sorted in decreasing order and near-ties (within
-    ``MERGE_TOL``) are merged into multiplicity blocks.
+    Values are sorted in decreasing order and merged into multiplicity
+    blocks: a value joins the current block when it lies within
+    ``MERGE_TOL`` of the block's first value, and starts a new block
+    otherwise.
     """
     flat = np.sort(np.asarray(values, dtype=float))[::-1]
     if flat.size < 2:
         raise ValueError("need at least two eigenvalues")
-    pairs: list[tuple[float, int]] = []
-    for v in flat:
-        if pairs and pairs[-1][0] - v <= MERGE_TOL:
-            pairs[-1] = (pairs[-1][0], pairs[-1][1] + 1)
-        else:
-            pairs.append((float(v), 1))
-    return KernelSpectrum(flat.size, tuple(pairs), label=label)
+    # a value more than MERGE_TOL below its neighbour starts a block; NaN gaps do too
+    head = np.ones(flat.size, dtype=bool)
+    head[1:] = ~(flat[:-1] - flat[1:] <= MERGE_TOL)
+    # a near-tie joins only if it is also within MERGE_TOL of its block's first value
+    first = 0
+    for i in np.flatnonzero(~head).tolist():
+        if head[i - 1]:
+            first = i - 1
+        if not flat[first] - flat[i] <= MERGE_TOL:
+            head[i] = True
+    starts = np.flatnonzero(head)
+    return KernelSpectrum._from_arrays(flat.size, flat[starts],
+                                       np.diff(starts, append=flat.size), label)
 
 
 def two_block_spectrum(n_levels: int, k: int) -> KernelSpectrum:
@@ -177,7 +231,8 @@ def two_block_spectrum(n_levels: int, k: int) -> KernelSpectrum:
     s = math.sqrt(k * (n - k) * (n - 1) * (n + 1))
     a = ((n - k) + s) / (n * (n - k))
     b = (k - s) / (k * n)
-    return KernelSpectrum(n, ((a, n - k), (b, k)), label=f"two-block k={k}")
+    return KernelSpectrum._from_arrays(n, np.array([a, b]), np.array([n - k, k], dtype=np.int64),
+                                       f"two-block k={k}")
 
 
 def random_spectrum(n_levels: int, rng: np.random.Generator, label: str = "random") -> KernelSpectrum:

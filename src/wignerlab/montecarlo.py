@@ -53,8 +53,11 @@ __all__ = [
 #: Samples per work unit; one derived random stream per chunk.
 CHUNK = 1 << 16
 
-# float64 scalars drawn per internal sub-batch and worker, to cap working memory
-_BUDGET = 1 << 20
+# float64 scalars drawn per internal sub-batch and worker, to cap working memory.
+# 1 MiB a worker: glibc keeps a freed 8 MiB sub-batch in its thread's arena, and
+# whether a worker then reuses or grows that arena depends on thread timing, so
+# at 1 << 20 a run's peak RSS moved by a whole sub-batch from one run to the next.
+_BUDGET = 1 << 17
 
 
 class SweepError(RuntimeError):
@@ -212,7 +215,6 @@ def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
     if method not in ("fast-gamma", "full-ginibre"):
         raise ValueError(f"unknown method {method!r}")
     n = spectrum.dimension
-    weights = spectrum.expanded()
     point = None
     if phase_point is not None:
         if method != "full-ginibre":
@@ -237,6 +239,7 @@ def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
     if method == "fast-gamma":
         count = partial(_count, seed, values.size, fast_gamma)
     else:
+        weights = spectrum.expanded()  # only this path reduces over all N eigenvalues
         count = partial(_count, seed, 2 * n * n, full_ginibre)
     negatives = _map_reduce(count, _chunks(trials), workers)
     return _finish(trials, negatives, seed, method, z)

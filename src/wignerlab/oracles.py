@@ -49,7 +49,9 @@ _EPS = float(np.finfo(float).eps)
 # nodes x weights grid elements the CF route evaluates at once; bounds its memory
 _BLOCK_ELEMENTS = 1 << 14
 
-# trapezoid nodes past which the CF route raises instead of evaluating
+# trapezoid nodes past which the CF route raises instead of evaluating; the cap is
+# checked, at one envelope node, only once the first scan falls short, and before
+# any node past that scan is evaluated
 _MAX_NODES = 1 << 18
 
 
@@ -188,7 +190,9 @@ def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleRe
       sum_j s_j |arctan z_j| included, times the rounding depth of the sums.
 
     ConvergenceError is raised when the sum exceeds ``tol``, or when K would
-    pass a fixed node cap.
+    pass a fixed node cap.  The cap is checked from the envelope at the cap
+    alone, before any node past the first scan (the nodes a normal X needs)
+    is evaluated.
     """
     spectrum.validate()
     return _cf_inversion(*_checked(spectrum.values, spectrum.shapes, tol), tol)
@@ -234,10 +238,6 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
             f"CF inversion cannot certify tol {tol:.3e}: sigma={sigma:.6g}, L={half_width:.6g}, "
             f"K={last}, aliasing {aliasing:.3e}, truncation {trunc:.3e}, roundoff {roundoff:.3e}")
 
-    _, _, mod, slope = envelope(np.array([_MAX_NODES - 0.5]))
-    trunc = float(mod[0] / (math.pi * slope[0]))
-    if not trunc <= target:  # the envelope only falls, so no node up to the cap passes
-        raise failure(_MAX_NODES - 1, trunc, math.nan)
     per_block = max(1, _BLOCK_ELEMENTS // w.size)
 
     def passing_node(low: int, tail: float, slope: float) -> int:
@@ -277,6 +277,10 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
             break
         first += term.size
         if first == stop:  # a heavier tail than normal
+            _, _, mod, cap_slope = envelope(np.array([_MAX_NODES - 0.5]))
+            cap = float(mod[0] / (math.pi * cap_slope[0]))
+            if not cap <= target:  # the envelope only falls, so no node up to the cap passes
+                raise failure(_MAX_NODES - 1, cap, math.nan)
             stop = passing_node(first, float(tail[-1]), float(slope[-1])) + 1
     count = last + 1
     value = 0.5 - float(np.concatenate(terms)[:count].sum())

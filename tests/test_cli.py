@@ -47,6 +47,50 @@ class TestKernelCommand:
         assert set(payload["moments"]) == {
             "pos_sum", "neg_abs_sum", "pos_sq_sum", "neg_sq_sum", "num_nonneg", "sigma_ratio"}
 
+    # exact output of one command per kernel family, whatever form a spectrum is stored in
+    PINNED = {
+        ("--two-block", "2", "--n", "5"): {
+            "dimension": 5,
+            "label": "two-block k=2",
+            "eigenvalues": [[1.0, 3], [-1.0, 2]],
+            "residuals": {"trace": 0.0, "square_trace": 0.0},
+            "moments": {"pos_sum": 3.0, "neg_abs_sum": 2.0, "pos_sq_sum": 3.0,
+                        "neg_sq_sum": 2.0, "num_nonneg": 3, "sigma_ratio": 0.816496580927726},
+        },
+        ("--random", "7", "--n", "7"): {
+            "dimension": 7,
+            "label": "random s=7",
+            "eigenvalues": [[1.207372912520906, 1], [0.7676922345375172, 1],
+                            [0.5629456229766747, 1], [0.500896060743155, 1],
+                            [0.43225090732765126, 1], [-0.47896023497794865, 1],
+                            [-1.9921975031279557, 1]],
+            "residuals": {"trace": 0.0, "square_trace": 0.0},
+            "moments": {"pos_sum": 3.4711577381059042, "neg_abs_sum": 2.4711577381059042,
+                        "pos_sq_sum": 2.8017462018406065, "neg_sq_sum": 4.198253798159393,
+                        "num_nonneg": 5, "sigma_ratio": 1.224108599322715},
+        },
+    }
+
+    @pytest.mark.parametrize("family", list(PINNED))
+    def test_output_pinned(self, capsys, family):
+        expected = self.PINNED[family]
+        code, out, _ = run_cli(capsys, "kernel", *family, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(expected, indent=2) + "\n"
+        code, out, _ = run_cli(capsys, "kernel", *family, "--format", "pretty")
+        assert code == 0
+        mom = expected["moments"]
+        assert out.splitlines() == [
+            f"dimension      {expected['dimension']}",
+            f"label          {expected['label']}",
+            "eigenvalues    (value x multiplicity)",
+            *(f"    {v!r} x {m}" for v, m in expected["eigenvalues"]),
+            "residuals      trace 0.000e+00, square-trace 0.000e+00",
+            f"moments        pos_sum={mom['pos_sum']!r} neg_abs_sum={mom['neg_abs_sum']!r}",
+            f"               pos_sq_sum={mom['pos_sq_sum']!r} neg_sq_sum={mom['neg_sq_sum']!r}",
+            f"               num_nonneg={mom['num_nonneg']} sigma_ratio={mom['sigma_ratio']!r}",
+        ]
+
     def test_dimension_validation(self, capsys):
         code, _, err = run_cli(capsys, "kernel", "--n", "1", "--two-block", "1")
         assert code == 2

@@ -1,9 +1,12 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from wignerlab.kernels import (
+    MERGE_TOL,
     KernelSpectrum,
     master_residuals,
     moments,
@@ -142,6 +145,8 @@ class TestSpectrumStructure:
         (lambda: KernelSpectrum(2, ((math.nan, 1), (math.nan, 1))), "decreasing"),
         (lambda: KernelSpectrum(2, ((1.0, 1), (math.nan, 1))), "decreasing"),
         (lambda: spectrum_from_values([1.0, math.nan]), "decreasing"),
+        (lambda: spectrum_from_values([1.0, 1.0 - 0.5e-12, math.nan, -2.0]), "decreasing"),
+        (lambda: spectrum_from_values([math.nan, math.nan, 1.0]), "decreasing"),
         (lambda: KernelSpectrum(2, ((math.nan, 2),)), "trace constraints"),
         (lambda: two_block_spectrum(2, 1).validate(tol=math.nan), "trace constraints"),
     ])
@@ -157,6 +162,119 @@ class TestSpectrumStructure:
     def test_from_values_sorts(self):
         spec = spectrum_from_values([-1.0, 2.0, 0.5])
         assert spec.values == pytest.approx([2.0, 0.5, -1.0])
+
+    @pytest.mark.parametrize("n,counts,fragment", [
+        (2, (1.9, 1.4999), "integers"),  # truncation would give (1, 1), which sums to N
+        (3, (1.25, 1.75), "integers"),  # sums to N as it stands
+        (2, (math.nan, 1), "integers"),
+        (2, (1, math.nan), "integers"),
+        (2, (math.inf, 1), "sum to the dimension"),
+        (2, (1, -math.inf), "positive"),
+    ])
+    def test_non_integral_multiplicities_rejected(self, n, counts, fragment):
+        (a, _), (b, _) = two_block_spectrum(2, 1).eigenvalues
+        with pytest.raises(ValueError, match=fragment):
+            KernelSpectrum(n, ((a, counts[0]), (b, counts[1])))
+
+    def test_integral_float_multiplicities_accepted(self):
+        spec = KernelSpectrum(4, ((1.5, 3.0), (-0.5, 1.0)))
+        assert spec.eigenvalues == ((1.5, 3), (-0.5, 1))
+        assert all(type(m) is int for _, m in spec.eigenvalues)
+
+    @pytest.mark.parametrize("pairs", [(1.5, -0.5), ((1.5, 1, 0), (-0.5, 1, 0)), ()])
+    def test_eigenvalues_must_be_pairs(self, pairs):
+        with pytest.raises(ValueError):
+            KernelSpectrum(2, pairs)
+
+
+def sequential_blocks(values):
+    """The merge rule of spectrum_from_values as a loop over sorted values: a
+    value joins the current block when it lies within MERGE_TOL of the block's
+    first value, and starts a new block otherwise."""
+    pairs = []
+    for v in np.sort(np.asarray(values, dtype=float))[::-1].tolist():
+        if pairs and pairs[-1][0] - v <= MERGE_TOL:
+            pairs[-1] = (pairs[-1][0], pairs[-1][1] + 1)
+        else:
+            pairs.append((v, 1))
+    return tuple(pairs)
+
+
+class TestMergeRule:
+    def test_compares_with_the_block_head_not_the_neighbour(self):
+        # each neighbour is within MERGE_TOL, the third value is not within it of the first
+        spec = spectrum_from_values([1.0, 1.0 - 0.6e-12, 1.0 - 1.2e-12, -5.0])
+        assert spec.eigenvalues == ((1.0, 2), (0.9999999999988, 1), (-5.0, 1))
+
+    def test_gap_of_exactly_merge_tol_merges(self):
+        assert spectrum_from_values([0.0, -MERGE_TOL, -3.0]).eigenvalues == ((0.0, 2), (-3.0, 1))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_blocks_match_the_sequential_rule(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([2, 3, 17, 256, 4096]))
+        x = rng.standard_normal(n) * rng.choice([1.0, 1e-10])
+        # chains of near ties whose steps straddle MERGE_TOL
+        for _ in range(int(rng.integers(0, n // 2 + 1))):
+            i = int(rng.integers(0, n))
+            step = float(rng.choice([0.0, 0.3e-12, 0.6e-12, 1e-12, 1.1e-12, 2e-12]))
+            length = min(int(rng.integers(2, 9)), n - i)
+            x[i:i + length] = x[i] - step * np.arange(length)
+        spec = spectrum_from_values(x, label="chains")
+        assert spec.eigenvalues == sequential_blocks(x)
+        assert spec.dimension == n
+
+
+class TestSpectrumObject:
+    def test_arrays_are_canonical_and_read_only(self):
+        spec = two_block_spectrum(5, 2)
+        assert spec.values.dtype == np.float64
+        assert spec.multiplicities.dtype == np.int64
+        assert spec.eigenvalues == ((1.0, 3), (-1.0, 2))
+        with pytest.raises(ValueError):
+            spec.values[0] = 0.0
+        with pytest.raises(ValueError):
+            spec.multiplicities[1] = 3
+
+    @pytest.mark.parametrize("name", ["dimension", "values", "multiplicities", "label",
+                                      "eigenvalues", "extra"])
+    def test_attributes_cannot_be_set_or_deleted(self, name):
+        spec = two_block_spectrum(5, 2)
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
+
+    def test_equal_fields_mean_equal_objects(self):
+        a = two_block_spectrum(5, 2)
+        b = KernelSpectrum(5, ((1, 3), (-1, 2)), label="two-block k=2")
+        c = spectrum_from_values(a.expanded(), label="two-block k=2")
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c) == hash((5, ((1.0, 3), (-1.0, 2)), "two-block k=2"))
+        assert len({a, b, c}) == 1
+        assert a != KernelSpectrum(5, a.eigenvalues, label="other")
+        assert a != two_block_spectrum(5, 1)
+        assert a != (5, a.eigenvalues, a.label)
+
+    def test_repr_shows_the_fields(self):
+        assert repr(two_block_spectrum(5, 2)) == (
+            "KernelSpectrum(dimension=5, eigenvalues=((1.0, 3), (-1.0, 2)), label='two-block k=2')")
+
+    @pytest.mark.parametrize("clone", [
+        pytest.param(copy.copy, id="copy"),
+        pytest.param(copy.deepcopy, id="deepcopy"),
+        *(pytest.param(lambda s, p=p: pickle.loads(pickle.dumps(s, protocol=p)), id=f"pickle{p}")
+          for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ])
+    def test_copies_round_trip(self, clone):
+        for spec in (two_block_spectrum(5, 2), random_spectrum(64, np.random.default_rng(2))):
+            twin = clone(spec)
+            assert twin == spec
+            assert hash(twin) == hash(spec)
+            assert repr(twin) == repr(spec)
+            assert not twin.values.flags.writeable
+            assert not twin.multiplicities.flags.writeable
+            twin.validate()
 
 
 class TestMoments:
