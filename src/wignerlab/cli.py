@@ -17,8 +17,9 @@ import time
 
 import numpy as np
 
-from .kernels import KernelSpectrum, master_residuals, moments
+from .kernels import KernelSpectrum, _integer, master_residuals, moments
 from .montecarlo import (
+    METHODS,
     KernelSelector,
     SweepConfig,
     SweepRecord,
@@ -49,16 +50,11 @@ _KERNEL_TOKEN_TAG = 0x6B65726E
 
 
 def _default_workers() -> int:
-    raw = os.environ.get("WIGNERLAB_WORKERS", "").strip()
-    if not raw:
-        return 1
+    raw = os.environ.get("WIGNERLAB_WORKERS", "").strip() or "1"
     try:
-        value = int(raw)
+        return _integer(int(raw), "WIGNERLAB_WORKERS", 1)
     except ValueError:
-        raise ValueError(f"WIGNERLAB_WORKERS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"WIGNERLAB_WORKERS must be >= 1, got {value}")
-    return value
+        raise ValueError(f"WIGNERLAB_WORKERS must be an integer >= 1, got {raw!r}") from None
 
 
 def _resolve_workers(args) -> int:
@@ -375,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p_est, required=True)
     p_est.add_argument("--trials", type=int, required=True)
     p_est.add_argument("--seed", type=int, default=0)
-    p_est.add_argument("--method", choices=["fast-gamma", "full-ginibre"], default="fast-gamma")
+    p_est.add_argument("--method", choices=METHODS, default=METHODS[0])
     p_est.add_argument("--workers", type=int, default=None,
                        help="thread count, capped at the CPU count "
                             "(default: WIGNERLAB_WORKERS or 1)")
@@ -395,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated kernel tokens: k=INT, random, random=SEED")
     p_sweep.add_argument("--trials", type=int, default=None)
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--method", choices=["fast-gamma", "full-ginibre"], default=None)
+    p_sweep.add_argument("--method", choices=METHODS, default=None)
     p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.add_argument("--z", type=float, default=None)
     p_sweep.add_argument("--oracle", action="store_true",

@@ -36,6 +36,20 @@ __all__ = [
 MERGE_TOL = 1e-12
 
 
+def _integer(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int if it is an integral number in [low, high] (``high`` None:
+    unbounded), else ValueError; 4.0 passes, bools, fractions and NaN do not."""
+    try:
+        number = int(value)
+        ok = number == value and not isinstance(value, (bool, np.bool_))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not (ok and low <= number and (high is None or number <= high)):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return number
+
+
 class KernelSpectrum:
     """Eigenvalue spectrum of a phase-space kernel.
 
@@ -64,8 +78,7 @@ class KernelSpectrum:
     __slots__ = ("dimension", "values", "multiplicities", "label")
 
     def __init__(self, dimension: int, eigenvalues, label: str = ""):
-        if int(dimension) != dimension or dimension < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {dimension}")
+        dimension = _integer(dimension, "dimension", 2)
         table = np.asarray(eigenvalues, dtype=float)
         if table.size == 0:
             raise ValueError("spectrum needs at least one eigenvalue")
@@ -75,7 +88,7 @@ class KernelSpectrum:
         # NaN fails the comparison; -inf is not positive and +inf cannot sum to the dimension
         if not (np.rint(counts) == counts).all():
             raise ValueError("multiplicities must be integers")
-        self._set(int(dimension), values, counts, label)
+        self._set(dimension, values, counts, label)
 
     @classmethod
     def _from_arrays(cls, dimension: int, values: np.ndarray, multiplicities: np.ndarray,
@@ -222,17 +235,17 @@ def two_block_spectrum(n_levels: int, k: int) -> KernelSpectrum:
     k : int
         Multiplicity of the negative block, 1 <= k <= N-1.
     """
-    n = int(n_levels)
-    k = int(k)
-    if n < 2:
-        raise ValueError(f"N must be >= 2, got {n}")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= N-1 = {n - 1}, got {k}")
-    s = math.sqrt(k * (n - k) * (n - 1) * (n + 1))
-    a = ((n - k) + s) / (n * (n - k))
-    b = (k - s) / (k * n)
+    n, k, a, b = _two_block(n_levels, k)
     return KernelSpectrum._from_arrays(n, np.array([a, b]), np.array([n - k, k], dtype=np.int64),
                                        f"two-block k={k}")
+
+
+def _two_block(n_levels: int, k: int) -> tuple[int, int, float, float]:
+    """The checked (N, k) and the eigenvalues (a, b) of :func:`two_block_spectrum`."""
+    n = _integer(n_levels, "N", 2)
+    k = _integer(k, "k", 1, n - 1)
+    s = math.sqrt(k * (n - k) * (n - 1) * (n + 1))
+    return n, k, ((n - k) + s) / (n * (n - k)), (k - s) / (k * n)
 
 
 def random_spectrum(n_levels: int, rng: np.random.Generator, label: str = "random") -> KernelSpectrum:
@@ -247,9 +260,7 @@ def random_spectrum(n_levels: int, rng: np.random.Generator, label: str = "rando
     distinct; for N=2 the two constraints pin the unique two-block
     spectrum so every seed returns it.
     """
-    n = int(n_levels)
-    if n < 2:
-        raise ValueError(f"N must be >= 2, got {n}")
+    n = _integer(n_levels, "N", 2)
     while True:
         g = rng.standard_normal(n)
         d = g - g.mean()

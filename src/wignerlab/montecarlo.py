@@ -33,7 +33,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernels import KernelSpectrum, random_spectrum, two_block_spectrum
+from .kernels import KernelSpectrum, _integer, random_spectrum, two_block_spectrum
 from .sampling import gamma_batch, ginibre_batch, haar_batch
 
 __all__ = [
@@ -58,6 +58,10 @@ CHUNK = 1 << 16
 # whether a worker then reuses or grows that arena depends on thread timing, so
 # at 1 << 20 a run's peak RSS moved by a whole sub-batch from one run to the next.
 _BUDGET = 1 << 17
+
+#: Sampling paths of :func:`estimate_global`; the first is the default.
+METHODS = ("fast-gamma", "full-ginibre")
+_SEED_MAX = 2**64 - 1  # seeds are one unsigned 64-bit word of SeedSequence entropy
 
 
 class SweepError(RuntimeError):
@@ -112,10 +116,8 @@ def wilson_interval(negatives: int, trials: int, z: float = 1.96) -> tuple[float
         Interval in [0, 1]; low is exactly 0.0 when negatives == 0 and
         high is exactly 1.0 when negatives == trials.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0 <= negatives <= trials:
-        raise ValueError(f"negatives {negatives} outside [0, {trials}]")
+    trials = _integer(trials, "trials", 1)
+    negatives = _integer(negatives, "negatives", 0, trials)
     if not (math.isfinite(z) and z > 0.0):
         raise ValueError(f"z must be positive and finite, got {z!r}")
     p = negatives / trials
@@ -133,8 +135,8 @@ class NegativityEstimate:
     """A Monte Carlo negativity frequency with its Wilson interval.
 
     ``p_hat`` is exactly ``negatives / trials``; ``method`` names the
-    sampling path (``"fast-gamma"``, ``"full-ginibre"``, or
-    ``"haar-phase-point"``).
+    sampling path (one of ``METHODS``, or ``"haar-phase-point"``).  The counts
+    and the seed are stored as ints.
     """
 
     trials: int
@@ -146,26 +148,26 @@ class NegativityEstimate:
     method: str
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not 0 <= self.negatives <= self.trials:
-            raise ValueError("negatives outside [0, trials]")
+        object.__setattr__(self, "trials", _integer(self.trials, "trials", 1))
+        object.__setattr__(self, "negatives", _integer(self.negatives, "negatives", 0, self.trials))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, _SEED_MAX))
         if self.p_hat != self.negatives / self.trials:
             raise ValueError("p_hat is not negatives/trials")
         if not 0.0 <= self.ci_low <= self.p_hat <= self.ci_high <= 1.0:
             raise ValueError("interval does not bracket p_hat inside [0, 1]")
 
 
-def _check_run(trials: int, seed: int, workers: int, z: float) -> None:
-    """Raise ValueError unless the run arguments are usable; z as in wilson_interval."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit non-negative integer, got {seed}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+def _check_run(trials: int, seed: int, workers: int, z: float,
+               method: str = METHODS[0]) -> tuple[int, int, int]:
+    """``(trials, seed, workers)`` as ints; raises ValueError unless every run
+    argument is usable, z as in wilson_interval and method one of ``METHODS``."""
+    counts = (_integer(trials, "trials", 1), _integer(seed, "seed", 0, _SEED_MAX),
+              _integer(workers, "workers", 1))
     if not (math.isfinite(z) and z > 0.0):
         raise ValueError(f"z must be positive and finite, got {z!r}")
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    return counts
 
 
 def _finish(trials: int, negatives: int, seed: int, method: str, z: float) -> NegativityEstimate:
@@ -175,7 +177,7 @@ def _finish(trials: int, negatives: int, seed: int, method: str, z: float) -> Ne
 
 
 def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
-                    method: str = "fast-gamma", workers: int = 1, *,
+                    method: str = METHODS[0], workers: int = 1, *,
                     z: float = 1.96, phase_point: np.ndarray | None = None) -> NegativityEstimate:
     """Estimate the probability that a random state has a negative Wigner value.
 
@@ -211,9 +213,7 @@ def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
     NegativityEstimate
     """
     spectrum.validate()
-    _check_run(trials, seed, workers, z)
-    if method not in ("fast-gamma", "full-ginibre"):
-        raise ValueError(f"unknown method {method!r}")
+    trials, seed, workers = _check_run(trials, seed, workers, z, method)
     n = spectrum.dimension
     point = None
     if phase_point is not None:
@@ -275,7 +275,7 @@ def estimate_state(rho: np.ndarray, spectrum: KernelSpectrum, trials: int, seed:
     ``rho`` must pass :func:`check_state` at the kernel's dimension.
     """
     spectrum.validate()
-    _check_run(trials, seed, workers, z)
+    trials, seed, workers = _check_run(trials, seed, workers, z)
     n = spectrum.dimension
     rho = check_state(rho, n)
     weights = spectrum.expanded()
@@ -295,7 +295,7 @@ class KernelSelector:
 
     ``two_block(k)`` picks the two-eigenvalue kernel at every N > k;
     ``random(seed)`` draws one random spectrum per N, deterministically
-    from the selector's own seed.
+    from the selector's own seed.  ``k`` and ``seed`` are stored as ints.
     """
 
     kind: str
@@ -304,13 +304,11 @@ class KernelSelector:
 
     def __post_init__(self) -> None:
         if self.kind == "two-block":
-            if self.k is None or self.k < 1:
-                raise ValueError("two-block selector needs k >= 1")
+            object.__setattr__(self, "k", _integer(self.k, "k", 1))
             if self.seed is not None:
                 raise ValueError("two-block selector takes no seed")
         elif self.kind == "random":
-            if self.seed is None or not 0 <= self.seed < 2**64:
-                raise ValueError("random selector needs a 64-bit seed")
+            object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, _SEED_MAX))
             if self.k is not None:
                 raise ValueError("random selector takes no k")
         else:
@@ -326,9 +324,7 @@ class KernelSelector:
 
     def valid_for(self, n_levels: int) -> bool:
         """Whether this family exists at dimension ``n_levels``."""
-        if n_levels < 2:
-            return False
-        return self.kind == "random" or self.k <= n_levels - 1
+        return n_levels >= 2 and (self.kind == "random" or self.k <= n_levels - 1)
 
     def build(self, n_levels: int) -> KernelSpectrum:
         """Materialize the spectrum for one dimension."""
@@ -346,7 +342,7 @@ class KernelSelector:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid of (dimension, kernel) points estimated with shared settings."""
+    """Grid of (dimension, kernel) points estimated with shared settings; counts are ints."""
 
     dimensions: tuple[int, ...]
     kernels: tuple[KernelSelector, ...]
@@ -354,21 +350,21 @@ class SweepConfig:
     seed: int
     workers: int = 1
     z: float = 1.96
-    method: str = "fast-gamma"
+    method: str = METHODS[0]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dimensions", tuple(int(n) for n in self.dimensions))
-        object.__setattr__(self, "kernels", tuple(self.kernels))
-        if any(n < 2 for n in self.dimensions):
-            raise ValueError("every dimension must be >= 2")
-        _check_run(self.trials, self.seed, self.workers, self.z)
-        if self.method not in ("fast-gamma", "full-ginibre"):
-            raise ValueError(f"unknown method {self.method!r}")
+        dimensions = tuple(_integer(n, "N", 2) for n in self.dimensions)
+        trials, seed, workers = _check_run(self.trials, self.seed, self.workers, self.z,
+                                           self.method)
+        for name, value in (("dimensions", dimensions), ("kernels", tuple(self.kernels)),
+                            ("trials", trials), ("seed", seed), ("workers", workers)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One estimated sweep point, CSV-row shaped."""
+    """One estimated sweep point, CSV-row shaped; ``wall_time_s`` times the
+    estimate alone, not the kernel build or an oracle value."""
 
     dimension: int
     kernel_label: str
@@ -408,14 +404,14 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
             continue
         point_seed = int(np.random.SeedSequence(
             entropy=(config.seed, index)).generate_state(1, np.uint64)[0])
-        start = time.perf_counter()
         try:
             spectrum = selector.build(n)
+            start = time.perf_counter()
             est = estimate_global(spectrum, config.trials, point_seed,
                                   method=config.method, workers=config.workers, z=config.z)
+            wall = time.perf_counter() - start
         except Exception as exc:
             raise SweepError(
                 f"sweep point N={n}, kernel {selector.describe()} failed: {exc}") from exc
-        records.append(SweepRecord.from_estimate(spectrum, selector.k, est,
-                                                 time.perf_counter() - start))
+        records.append(SweepRecord.from_estimate(spectrum, selector.k, est, wall))
     return records

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincc, betaln, ndtr
 
-from .kernels import KernelSpectrum, two_block_spectrum
+from .kernels import KernelSpectrum, _two_block
 
 __all__ = [
     "OracleResult",
@@ -159,8 +159,8 @@ def two_block_exact(n_levels: int, k: int) -> OracleResult:
     The beta closed form of :func:`negative_probability`: eigenvalues a > 0 > b
     of multiplicities N-k and k give I_x(N(N-k), Nk) at x = r/(1+r), r = |b|/a.
     """
-    spectrum = two_block_spectrum(n_levels, k)
-    return negative_probability(spectrum.values, spectrum.shapes)
+    n, k, a, b = _two_block(n_levels, k)
+    return negative_probability((a, b), (n * (n - k), n * k))
 
 
 def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleResult:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import KernelSpectrum
+from .kernels import KernelSpectrum, _integer
 
 __all__ = [
     "sample_ginibre",
@@ -35,9 +35,7 @@ def ginibre_batch(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
     """One n x n Ginibre matrix: i.i.d. standard-normal real and imaginary parts."""
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    return ginibre_batch(1, n, rng)[0]
+    return ginibre_batch(1, _integer(n, "N", 1), rng)[0]
 
 
 def hs_state(z: np.ndarray) -> np.ndarray:
@@ -83,9 +81,7 @@ def haar_batch(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary via QR of a Ginibre matrix with phase fix."""
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    return haar_batch(1, n, rng)[0]
+    return haar_batch(1, _integer(n, "N", 1), rng)[0]
 
 
 def wigner_value(rho: np.ndarray, spectrum: KernelSpectrum, unitary: np.ndarray) -> float:

@@ -56,10 +56,15 @@ class TestTwoBlock:
         assert abs(r1) < 1e-10
         assert abs(r2) < 1e-9
 
-    @pytest.mark.parametrize("n,k", [(1, 1), (0, 1), (2, 2), (2, 0), (5, 5), (3, -1)])
+    @pytest.mark.parametrize("n,k", [(1, 1), (0, 1), (2, 2), (2, 0), (5, 5), (3, -1),
+                                     (4.7, 1), (4, 1.9), (4, True), (math.nan, 1), ("4", 1)])
     def test_domain_errors(self, n, k):
         with pytest.raises(ValueError):
             two_block_spectrum(n, k)
+
+    def test_integral_numbers_are_counts(self):
+        spec = two_block_spectrum(4.0, np.int64(1))
+        assert spec == two_block_spectrum(4, 1) and type(spec.dimension) is int
 
     def test_negative_eigenvalue_always_present(self):
         for n in (2, 7, 33, 200):
@@ -100,6 +105,11 @@ class TestRandomSpectrum:
     def test_rejects_tiny_dimension(self):
         with pytest.raises(ValueError):
             random_spectrum(1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [4.5, math.nan, "4"])
+    def test_rejects_non_integral_dimension(self, n):
+        with pytest.raises(ValueError, match="N must be"):
+            random_spectrum(n, np.random.default_rng(0))
 
 
 class TestSpectrumStructure:
@@ -149,6 +159,7 @@ class TestSpectrumStructure:
         (lambda: spectrum_from_values([math.nan, math.nan, 1.0]), "decreasing"),
         (lambda: KernelSpectrum(2, ((math.nan, 2),)), "trace constraints"),
         (lambda: two_block_spectrum(2, 1).validate(tol=math.nan), "trace constraints"),
+        (lambda: KernelSpectrum(math.nan, ((1.0, 1),)), "dimension must be"),
     ])
     def test_nan_fails_checks(self, build, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -175,6 +186,10 @@ class TestSpectrumStructure:
         (a, _), (b, _) = two_block_spectrum(2, 1).eigenvalues
         with pytest.raises(ValueError, match=fragment):
             KernelSpectrum(n, ((a, counts[0]), (b, counts[1])))
+
+    def test_integral_float_dimension_accepted(self):
+        spec = KernelSpectrum(4.0, ((1.5, 3), (-0.5, 1)))
+        assert spec == KernelSpectrum(4, ((1.5, 3), (-0.5, 1))) and type(spec.dimension) is int
 
     def test_integral_float_multiplicities_accepted(self):
         spec = KernelSpectrum(4, ((1.5, 3.0), (-0.5, 1.0)))

@@ -44,7 +44,8 @@ class TestWilson:
         assert wide[0] < narrow[0] and narrow[1] < wide[1]
 
     @pytest.mark.parametrize("neg,trials,z", [(-1, 10, 2.0), (11, 10, 2.0), (0, 0, 2.0), (1, 10, 0.0),
-                                              (1, 10, float("inf"))])
+                                              (1, 10, float("inf")), (1.5, 10, 2.0), (1, 10.5, 2.0),
+                                              (True, 10, 2.0), (0, True, 2.0)])
     def test_validation(self, neg, trials, z):
         with pytest.raises(ValueError):
             wilson_interval(neg, trials, z)
@@ -123,6 +124,15 @@ class TestEstimateGlobal:
         with pytest.raises(ValueError, match="z must be"):
             estimate_global(spec, 10, 1, z=float("inf"))
 
+    def test_integral_numbers_are_counts(self):
+        spec = two_block_spectrum(2, 1)
+        expected = estimate_global(spec, 100000, 3)
+        for trials, seed in ((1e5, 3), (100000, 3.0), (np.int64(100000), np.int64(3)),
+                             (np.uint32(100000), np.uint64(3))):
+            est = estimate_global(spec, trials, seed, workers=np.int64(2))
+            assert est == expected
+            assert type(est.trials) is int and type(est.seed) is int
+
     def test_phase_point_needs_full_ginibre(self):
         spec = two_block_spectrum(2, 1)
         with pytest.raises(ValueError, match="full-ginibre"):
@@ -179,8 +189,43 @@ _NAN = float("nan")
     (lambda: estimate_global(two_block_spectrum(2, 1), 10, 1, method="full-ginibre",
                              phase_point=np.full((2, 2), _NAN)), "unitary"),
     (lambda: estimate_global(KernelSpectrum(2, ((_NAN, 2),)), 10, 1), "trace constraints"),
+    (lambda: estimate_global(two_block_spectrum(2, 1), _NAN, 1), "trials must be"),
+    (lambda: KernelSelector.two_block(_NAN), "k must be"),
+    (lambda: SweepConfig(dimensions=(_NAN,), kernels=(), trials=10, seed=0), "N must be"),
 ])
 def test_nan_inputs_rejected(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
+_SPEC2 = two_block_spectrum(2, 1)
+_SEL1 = (KernelSelector.two_block(1),)
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: estimate_global(_SPEC2, True, 1), "trials must be"),
+    (lambda: estimate_global(_SPEC2, 10.5, 1), "trials must be"),
+    (lambda: estimate_global(_SPEC2, 10, 1.5), "seed must be"),
+    (lambda: estimate_global(_SPEC2, 10, 2.0**64), "seed must be"),
+    (lambda: estimate_global(_SPEC2, 10, 1, workers=1.5), "workers must be"),
+    (lambda: estimate_global(_SPEC2, 10, 1, method="magic"), "method must be"),
+    (lambda: estimate_state(np.eye(2) / 2, _SPEC2, 10.5, 1), "trials must be"),
+    (lambda: estimate_state(np.eye(2) / 2, _SPEC2, 10, "1"), "seed must be"),
+    (lambda: SweepConfig(dimensions=(2.7,), kernels=_SEL1, trials=10, seed=0), "N must be"),
+    (lambda: SweepConfig(dimensions=(2,), kernels=_SEL1, trials=True, seed=0), "trials must be"),
+    (lambda: SweepConfig(dimensions=(2,), kernels=_SEL1, trials=10, seed=0.5), "seed must be"),
+    (lambda: SweepConfig(dimensions=(2,), kernels=_SEL1, trials=10, seed=0, method="magic"),
+     "method must be"),
+    (lambda: KernelSelector.two_block(1.5), "k must be"),
+    (lambda: KernelSelector.two_block(True), "k must be"),
+    (lambda: KernelSelector.random(7.5), "seed must be"),
+    (lambda: NegativityEstimate(trials=10.5, negatives=0, p_hat=0.0, ci_low=0.0, ci_high=0.5,
+                                seed=0, method="fast-gamma"), "trials must be"),
+    (lambda: NegativityEstimate(trials=2, negatives=True, p_hat=0.5, ci_low=0.0, ci_high=0.5,
+                                seed=0, method="fast-gamma"), "negatives must be"),
+])
+def test_counts_must_be_integers(call, fragment):
+    """Every count is an integral number in range; nothing is truncated."""
     with pytest.raises(ValueError, match=fragment):
         call()
 
@@ -293,6 +338,14 @@ class TestSelectors:
         # sweep --oracle finds each record's selector by this label
         assert selector.build(n).label == selector.describe()
 
+    def test_integral_float_k_is_the_int(self):
+        sel = KernelSelector.two_block(2.0)
+        assert sel == KernelSelector.two_block(2) and type(sel.k) is int
+        assert sel.describe() == sel.build(5).label == "two-block k=2"
+        config = SweepConfig(dimensions=(5,), kernels=(sel,), trials=10, seed=0)
+        assert type(run_sweep(config)[0].k) is int
+        assert KernelSelector.random(np.uint64(77)).describe() == "random s=77"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             KernelSelector.two_block(0)
@@ -353,6 +406,50 @@ class TestSweep:
                              trials=10, seed=0)
         with pytest.raises(SweepError, match=r"N=4, kernel two-block k=2"):
             run_sweep(config)
+
+    def test_failing_build_identified(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ValueError("no such kernel")
+        monkeypatch.setattr(mc, "two_block_spectrum", boom)
+        config = SweepConfig(dimensions=(4,), kernels=(KernelSelector.two_block(2),),
+                             trials=10, seed=0)
+        with pytest.raises(SweepError, match=r"N=4, kernel two-block k=2 failed: no such kernel"):
+            run_sweep(config)
+
+    def test_wall_time_counts_the_estimate_alone(self, monkeypatch):
+        """Like the estimate and state commands, a sweep times only the
+        estimate, not the kernel build before it."""
+        class Clock:
+            now = 0.0
+
+            def perf_counter(self):
+                return self.now
+
+        clock = Clock()
+        build, estimate = KernelSelector.build, mc.estimate_global
+
+        def slow_build(self, n):
+            clock.now += 100.0
+            return build(self, n)
+
+        def slow_estimate(*args, **kwargs):
+            clock.now += 2.5
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "time", clock)
+        monkeypatch.setattr(KernelSelector, "build", slow_build)
+        monkeypatch.setattr(mc, "estimate_global", slow_estimate)
+        config = SweepConfig(dimensions=(2, 3), kernels=(KernelSelector.two_block(1),),
+                             trials=10, seed=0)
+        assert [r.wall_time_s for r in run_sweep(config)] == [2.5, 2.5]
+
+    def test_config_stores_ints(self):
+        config = SweepConfig(dimensions=[np.int64(2), 3.0], kernels=[KernelSelector.random(5.0)],
+                             trials=1e3, seed=np.uint64(7), workers=2.0)
+        assert config.dimensions == (2, 3) and config.kernels == (KernelSelector.random(5),)
+        assert (config.trials, config.seed, config.workers) == (1000, 7, 2)
+        fields = (*config.dimensions, config.trials, config.seed, config.workers)
+        assert all(type(v) is int for v in fields)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

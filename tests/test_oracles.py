@@ -162,7 +162,8 @@ class TestTwoBlockExact:
     def test_approaches_limit(self):
         assert abs(two_block_exact(1024, 1).value - LIMIT) < 3e-4
 
-    @pytest.mark.parametrize("n,k", [(2, 2), (1, 1), (4, 0), (4, 4)])
+    @pytest.mark.parametrize("n,k", [(2, 2), (1, 1), (4, 0), (4, 4), (4.7, 1.9), (4, 1.5),
+                                     (4, True), (Fraction(9, 2), 1)])
     def test_domain_errors(self, n, k):
         with pytest.raises(ValueError):
             two_block_exact(n, k)
@@ -207,7 +208,8 @@ class TestCfInversion:
 
     def test_node_cap_raises_before_evaluating(self):
         """Shapes this small make phi decay like u^(-0.03): no node up to the cap
-        can bound the truncation error, so the route says so at once."""
+        can bound the truncation error.  The route raises once the first scan
+        (the nodes a normal X needs) falls short, before any node past it."""
         with pytest.raises(ConvergenceError, match="sigma=.*L=.*K=.*aliasing.*truncation.*roundoff"):
             negative_probability((1.0, 0.5, -1.0), (0.01, 0.01, 0.01))
 

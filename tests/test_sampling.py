@@ -43,6 +43,12 @@ class TestGinibre:
         with pytest.raises(ValueError):
             sample_ginibre(0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("draw", [sample_ginibre, haar_unitary])
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_rejects_non_integral_dimension(self, draw, n):
+        with pytest.raises(ValueError, match="N must be"):
+            draw(n, np.random.default_rng(0))
+
 
 class TestHsState:
     def test_identity_input(self):
