@@ -164,10 +164,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _kernel_oracle(selector: KernelSelector, spectrum: KernelSpectrum,
                    cf: bool = False, tol: float = 1e-10) -> OracleResult:
-    """Beta closed form for two-block kernels unless ``cf``, CF inversion otherwise."""
+    """Beta-else-CF for two-block kernels unless ``cf``, CF inversion otherwise."""
     if selector.kind != "two-block" or cf:
         return cf_inversion_exact(spectrum, tol=tol)
-    return two_block_exact(spectrum.dimension, selector.k)
+    return two_block_exact(spectrum.dimension, selector.k, tol=tol)
 
 
 def _cmd_kernel(args) -> int:

@@ -5,10 +5,11 @@ S = sum_j w_j G(s_j) negative, the G(s_j) independent standard gammas of
 shape s_j?  For a kernel the weights w_j are its distinct eigenvalues and the
 shapes s_j are N times their multiplicities.  :func:`negative_probability`
 takes (w, s) and routes two weights of opposite sign to a regularized
-incomplete beta closed form and everything else to characteristic-function
-inversion; :func:`two_block_exact` and :func:`cf_inversion_exact` are its
-kernel front ends.  A quadrature for the large-N normal reduction and the
-limit constant itself complete the set.
+incomplete beta closed form, and everything else, a beta bound over the
+tolerance included, to characteristic-function inversion;
+:func:`two_block_exact` and :func:`cf_inversion_exact` are its kernel front
+ends.  A quadrature for the large-N normal reduction and the limit constant
+itself complete the set.
 
 The CF inversion is Davies' half-offset trapezoid rule (Davies 1973,
 Biometrika 60; Algorithm AS 155, 1980) on the unit-variance variable
@@ -49,9 +50,9 @@ _EPS = float(np.finfo(float).eps)
 # nodes x weights grid elements the CF route evaluates at once; bounds its memory
 _BLOCK_ELEMENTS = 1 << 14
 
-# trapezoid nodes past which the CF route raises instead of evaluating; the cap is
-# checked, at one envelope node, only once the first scan falls short, and before
-# any node past that scan is evaluated
+# trapezoid nodes past which the CF route raises instead of evaluating; the cap node
+# alone is checked, only once the first scan falls short, and before any node past
+# that scan is evaluated
 _MAX_NODES = 1 << 18
 
 
@@ -105,8 +106,9 @@ def negative_probability(weights, shapes, tol: float = 1e-10) -> OracleResult:
     would lose log2(N) bits.  The reported bound is 5e-13 for the beta
     function itself plus the conditioning term pdf(y) * 4 eps y, the Beta(s-,
     s+) density times that rounding of y; both together hold against
-    40-digit binomial sums up to N = 16384.  Any other input goes to the CF
-    inversion of :func:`cf_inversion_exact`.
+    40-digit binomial sums up to N = 16384.  Any other input, and a two-weight
+    input whose beta bound exceeds ``tol``, goes to the CF inversion of
+    :func:`cf_inversion_exact` in the caller's weight order.
 
     Parameters
     ----------
@@ -122,20 +124,19 @@ def negative_probability(weights, shapes, tol: float = 1e-10) -> OracleResult:
     ValueError
         If an input breaks these rules; NaN breaks every one.
     ConvergenceError
-        If the route's error bound exceeds ``tol``.
+        If the CF error bound exceeds ``tol``: for two weights, only once the
+        beta bound has exceeded it too.
     """
     w, s = _checked(weights, shapes, tol)
-    if w.size > 2:
-        return _cf_inversion(w, s, tol)
-    if w[0] < 0.0:
-        w, s = w[::-1], s[::-1]
-    y = float(w[0] / (w[0] - w[1]))
-    log_pdf = (s[1] - 1.0) * math.log(y) + (s[0] - 1.0) * math.log1p(-y) - betaln(s[1], s[0])
-    bound = _BETA_ERROR + float(np.exp(log_pdf)) * 4.0 * _EPS * y
-    if not bound <= tol:
-        raise ConvergenceError(f"beta closed form error bound {bound:.3e} exceeds tol {tol:.3e}")
-    value = float(betaincc(s[1], s[0], y))
-    return OracleResult(value=value, method="beta-closed-form", estimated_abs_error=bound)
+    if w.size == 2:
+        (wp, wn), (sp, sn) = (w, s) if w[0] > 0.0 else (w[::-1], s[::-1])
+        y = float(wp / (wp - wn))
+        log_pdf = (sn - 1.0) * math.log(y) + (sp - 1.0) * math.log1p(-y) - betaln(sn, sp)
+        bound = _BETA_ERROR + float(np.exp(log_pdf)) * 4.0 * _EPS * y
+        if bound <= tol:
+            value = float(betaincc(sn, sp, y))
+            return OracleResult(value=value, method="beta-closed-form", estimated_abs_error=bound)
+    return _cf_inversion(w, s, tol)
 
 
 def _checked(weights, shapes, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -153,14 +154,16 @@ def _checked(weights, shapes, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return w, s
 
 
-def two_block_exact(n_levels: int, k: int) -> OracleResult:
+def two_block_exact(n_levels: int, k: int, tol: float = 1e-10) -> OracleResult:
     """Exact negativity probability for the two-block kernel (N, k), 1 <= k < N.
 
     The beta closed form of :func:`negative_probability`: eigenvalues a > 0 > b
     of multiplicities N-k and k give I_x(N(N-k), Nk) at x = r/(1+r), r = |b|/a.
+    Where its bound exceeds ``tol`` (at k = N-1 for N >= 8192 and the default),
+    the CF inversion answers instead, and raises if it cannot meet ``tol``.
     """
     n, k, a, b = _two_block(n_levels, k)
-    return negative_probability((a, b), (n * (n - k), n * k))
+    return negative_probability((a, b), (n * (n - k), n * k), tol)
 
 
 def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleResult:
@@ -189,10 +192,13 @@ def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleRe
     * roundoff, eps times the size of the summed terms, phase sums
       sum_j s_j |arctan z_j| included, times the rounding depth of the sums.
 
-    ConvergenceError is raised when the sum exceeds ``tol``, or when K would
-    pass a fixed node cap.  The cap is checked from the envelope at the cap
-    alone, before any node past the first scan (the nodes a normal X needs)
-    is evaluated.
+    K is found in rounds of nodes.  The first scan covers the nodes a normal X
+    needs.  Should it fall short, the truncation bound at a fixed node cap is
+    checked once, before any node past that scan: ConvergenceError is raised
+    if even the cap fails.  Each later round scans on to the node where the
+    power law of the last failed node, (u_K / u)^gamma, reaches tol/4, at most
+    16 times as many nodes as scanned so far.  ConvergenceError is also
+    raised when the sum of the bounds exceeds ``tol``.
     """
     spectrum.validate()
     return _cf_inversion(*_checked(spectrum.values, spectrum.shapes, tol), tol)
@@ -211,25 +217,22 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
     target = tol / 4.0
     signed = np.copysign(shapes, w)  # arctan(z_j) has the sign of w_j
 
-    def envelope(half: np.ndarray) -> tuple[np.ndarray, ...]:
-        """z = w u / sigma, log |phi|, |phi| and the slope gamma at u = half * step.
+    def nodes(first: int, stop: int) -> tuple[np.ndarray, ...]:
+        """Term, rounding size, truncation bound and slope at nodes first..stop-1.
 
-        Sums run along contiguous rows, pairwise, so a node's values do not
-        depend on the other nodes evaluated with it.
+        Sums over z = w u / sigma run along contiguous rows, pairwise, so a node's
+        values do not depend on the other nodes evaluated with it.
         """
+        half = np.arange(first + 0.5, stop)
         z = np.multiply.outer(half * step, w)
         z2 = z * z
-        log_mod = -0.5 * (np.log1p(z2) * shapes).sum(axis=1)
-        return z, log_mod, np.exp(log_mod), (z2 / (1.0 + z2) * shapes).sum(axis=1)
-
-    def nodes(first: int, stop: int) -> tuple[np.ndarray, ...]:
-        """Term, rounding size, truncation bound and slope at nodes first..stop-1."""
-        half = np.arange(first, stop) + 0.5
-        z, log_mod, mod, slope = envelope(half)
+        log_mod = -0.5 * np.add.reduce(np.log1p(z2) * shapes, axis=1)
+        mod = np.exp(log_mod)
+        slope = np.add.reduce(z2 / (1.0 + z2) * shapes, axis=1)
         angle = np.arctan(z)
         scale = mod / (math.pi * half)
-        phase = (angle * shapes).sum(axis=1)
-        phase_size = (angle * signed).sum(axis=1)
+        phase = np.add.reduce(angle * shapes, axis=1)
+        phase_size = np.add.reduce(angle * signed, axis=1)
         return (scale * np.sin(phase), scale * (1.0 + phase_size - log_mod),
                 mod / (math.pi * slope), slope)
 
@@ -240,48 +243,30 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
 
     per_block = max(1, _BLOCK_ELEMENTS // w.size)
 
-    def passing_node(low: int, tail: float, slope: float) -> int:
-        """A node from ``low`` on whose truncation bound is at most target, given
-        the bound and slope at the failed node v = low - 1.
-
-        Past v the bound falls at least as fast as (u_v / u)^slope, since the
-        slope only grows, so the node where that power law reaches target
-        passes.  While that node lies past twice ``low``, geometric probes of
-        the envelope alone narrow it down, up to 64 probes a round.
-        """
-        k = (low - 0.5) * math.exp(min(math.log(tail / target) / slope, 50.0)) - 0.5
-        high = max(low, math.ceil(k)) if k < _MAX_NODES else _MAX_NODES - 1
-        while high > 2 * low:
-            probes = np.unique(np.geomspace(low, high, min(per_block, 64) + 2)[1:-1].astype(np.int64))
-            _, _, mod, slope = envelope(probes + 0.5)
-            passed = np.flatnonzero(mod / (math.pi * slope) <= target)
-            if passed.size:
-                high = int(probes[passed[0]])
-                low = int(probes[passed[0] - 1]) + 1 if passed[0] else low
-            else:
-                low = int(probes[-1]) + 1
-        return high
-
     # a normal X passes by u = sqrt(2 log(1/target)), where the first scan stops
-    stop = min(math.ceil(math.sqrt(2.0 * math.log(1.0 / target)) / step), _MAX_NODES)
+    first_scan = stop = min(math.ceil(math.sqrt(2.0 * math.log(1.0 / target)) / step), _MAX_NODES)
     terms, sizes = [], []
     first = 0
     while True:
         term, rounding, tail, slope = nodes(first, min(first + per_block, stop))
         terms.append(term)
         sizes.append(rounding)
-        hit = np.flatnonzero(tail <= target)
+        hit = (tail <= target).nonzero()[0]
         if hit.size:
             last = first + int(hit[0])
             trunc = float(tail[hit[0]])
             break
         first += term.size
-        if first == stop:  # a heavier tail than normal
-            _, _, mod, cap_slope = envelope(np.array([_MAX_NODES - 0.5]))
-            cap = float(mod[0] / (math.pi * cap_slope[0]))
-            if not cap <= target:  # the envelope only falls, so no node up to the cap passes
-                raise failure(_MAX_NODES - 1, cap, math.nan)
-            stop = passing_node(first, float(tail[-1]), float(slope[-1])) + 1
+        if first == stop:
+            if stop == first_scan:  # a heavier tail than normal
+                cap = float(nodes(_MAX_NODES - 1, _MAX_NODES)[2][0])
+                if not cap <= target:  # the envelope only falls, so no node up to the cap passes
+                    raise failure(_MAX_NODES - 1, cap, math.nan)
+            # the slope only grows, so past the failed node the bound falls at least as fast
+            # as its power law: scan on to where that reaches target, at most 16x as far
+            power = min(math.log(float(tail[-1]) / target) / float(slope[-1]), 50.0)
+            stop = min(max(math.ceil((first - 0.5) * math.exp(power) - 0.5), first) + 1,
+                       16 * first, _MAX_NODES)
     count = last + 1
     value = 0.5 - float(np.concatenate(terms)[:count].sum())
     # four roundings a phase term, one level a pairwise sum over weights and over nodes

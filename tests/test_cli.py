@@ -340,9 +340,9 @@ class TestOracleCommand:
     @pytest.mark.parametrize("route,tol,code", [
         (BETA, "1e-30", 3), (BETA + ["--cf"], "1e-30", 3), (BETA, "1e-12", 0), (BETA, "0", 2),
         (BETA, "nan", 2), (["--clt", "2.0"], "1e-30", 3), (["--limit"], "1e-30", 3),
-        (["--limit"], "0", 2),
+        (["--limit"], "0", 2), (["--n", "8192", "--two-block", "8191"], "1e-9", 0),
     ], ids=["beta-tight", "cf-tight", "beta-met", "zero", "nan", "clt-tight", "limit-tight",
-            "limit-zero"])
+            "limit-zero", "beta-loose"])
     def test_tol_enforced_on_every_route(self, capsys, route, tol, code):
         """Every route's error bound, fixed or computed, must meet --tol."""
         got, out, err = run_cli(capsys, "oracle", *route, "--tol", tol)

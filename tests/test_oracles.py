@@ -68,6 +68,15 @@ ORACLE_PINS = {
     ("cf-random", 64, None): ("0x1.44b9ffe7c4a8ep-3", "0x1.5073a70355d81p-35"),
 }
 
+# heavy tails, in the style of ORACLE_PINS: negative_probability(weights, shapes,
+# tol) as (value, estimated_abs_error) in float hex.  |phi| decays slowly here, so
+# the CF scan runs far past its first scan (the nodes a normal X needs): 2653 nodes
+# after a first scan of 24, and 6127 after 21.  They pin how the scan continues.
+HEAVY_TAIL_PINS = {
+    ((2.0, 0.7, -1.3), (1.0, 1.0, 1.0), 1e-8): ("0x1.0634c08e30235p-2", "0x1.5772c55a17b5bp-28"),
+    ((3.0, 1.0, -0.5, -2.0), (0.5,) * 4, 1e-6): ("0x1.8b5f7db017bf4p-2", "0x1.0c659f910a82ap-21"),
+}
+
 
 def _binomial_tail(p: int, q: int, x: Fraction) -> float:
     """I_x(p, q) = P(Binomial(p+q-1, x) >= p), summed exactly."""
@@ -199,12 +208,18 @@ class TestCfInversion:
             return
         assert abs(tight.value - exact) <= tight.estimated_abs_error <= 1e-10
 
-    @pytest.mark.parametrize("spec", [two_block_spectrum(4, 1), KernelSelector.random(11).build(64)],
-                             ids=["two-block", "random"])
-    def test_block_size_does_not_change_result(self, spec, monkeypatch):
-        blocked = cf_inversion_exact(spec)
+    @pytest.mark.parametrize("call", [
+        lambda: cf_inversion_exact(two_block_spectrum(4, 1)),
+        lambda: cf_inversion_exact(KernelSelector.random(11).build(64)),
+        # far past the first scan: 2699 nodes after 29, 2653 after 24, 6127 after 21
+        lambda: cf_inversion_exact(two_block_spectrum(2, 1)),
+        lambda: negative_probability((2.0, 0.7, -1.3), (1.0, 1.0, 1.0), tol=1e-8),
+        lambda: negative_probability((3.0, 1.0, -0.5, -2.0), (0.5,) * 4, tol=1e-6),
+    ], ids=["two-block", "random", "two-block-2-1", "heavy-three", "heavy-four"])
+    def test_block_size_does_not_change_result(self, call, monkeypatch):
+        blocked = call()
         monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", 1)  # one node a block
-        assert cf_inversion_exact(spec) == blocked
+        assert call() == blocked
 
     def test_node_cap_raises_before_evaluating(self):
         """Shapes this small make phi decay like u^(-0.03): no node up to the cap
@@ -257,6 +272,12 @@ class TestNegativeProbability:
                 assert negative_probability(spec.values, spec.shapes) == res
         assert (res.value.hex(), res.estimated_abs_error.hex()) == ORACLE_PINS[(route, n, k)]
 
+    @pytest.mark.parametrize("weights,shapes,tol", HEAVY_TAIL_PINS, ids=["three", "four"])
+    def test_heavy_tail_pins(self, weights, shapes, tol):
+        res = negative_probability(weights, shapes, tol)
+        assert res.method == "cf-inversion"
+        assert (res.value.hex(), res.estimated_abs_error.hex()) == HEAVY_TAIL_PINS[(weights, shapes, tol)]
+
     @pytest.mark.parametrize("weights,x", [((1.0, -1.0), Fraction(1, 2)),
                                            ((3.0, -1.0), Fraction(1, 4))])
     @pytest.mark.parametrize("p,q", [(1, 1), (3, 5), (40, 40), (175, 525), (250, 260), (500, 700)])
@@ -296,8 +317,16 @@ class TestNegativeProbability:
             negative_probability(weights, shapes, tol)
 
     def test_beta_route_unreachable_tolerance_raises(self):
+        """Neither the beta bound nor the CF fallback meets tol = 1e-15."""
         with pytest.raises(ConvergenceError):
             negative_probability((1.0, -1.0), (2.0, 3.0), tol=1e-15)
+
+    @pytest.mark.parametrize("n", [8192, 16384])
+    def test_beta_bound_over_tol_falls_back_to_cf(self, n):
+        """At k = N-1 the beta bound exceeds 1e-10 from N = 8192 on; CF meets it."""
+        res = two_block_exact(n, n - 1)
+        assert res == cf_inversion_exact(two_block_spectrum(n, n - 1))
+        assert res.method == "cf-inversion" and res.estimated_abs_error <= 1e-10
 
 
 class TestCltQuadrature:
