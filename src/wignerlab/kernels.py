@@ -14,6 +14,9 @@ otherwise sum pi_i^2 <= (sum pi_i)^2 = 1 < N.  The constraints leave an
 distinct eigenvalues with multiplicities N-k and k), generic random
 solutions, and the derived moment quantities that control the large-N
 behaviour of the negativity probability.
+
+A spectrum is built one way, ``KernelSpectrum(dimension, values,
+multiplicities, label)``, a frozen dataclass compared by identity.
 """
 from __future__ import annotations
 
@@ -50,94 +53,55 @@ def _integer(value, name: str, low: int, high: int | None = None) -> int:
     return number
 
 
+@dataclass(frozen=True, eq=False)
 class KernelSpectrum:
-    """Eigenvalue spectrum of a phase-space kernel.
+    """Eigenvalue spectrum of a phase-space kernel: the dimension N >= 2, the
+    distinct eigenvalues `values` in strictly decreasing order, their positive
+    integer `multiplicities` summing to N, and a free-text provenance `label`
+    such as ``"two-block k=1"``.
 
-    Parameters
-    ----------
-    dimension : int
-        Hilbert-space dimension N, at least 2.
-    eigenvalues : sequence of (value, multiplicity)
-        Distinct eigenvalues in strictly decreasing order; multiplicities
-        are positive integers and sum to `dimension`.
-    label : str
-        Free-text provenance tag, e.g. ``"two-block k=1"``.
+    Both arrays are copied, checked and stored read-only, as float64 and int64;
+    the caller's arrays stay writable.  Instances are immutable and compare and
+    hash by identity; copies and pickles are rebuilt through the constructor.
 
-    The canonical form is the pair of read-only arrays `values` (float64)
-    and `multiplicities` (int64), built and checked once; the pair tuple
-    `eigenvalues` is derived from them on each access.  Instances are
-    immutable, compare and hash by (dimension, eigenvalues, label) and
-    pickle.
-
-    Construction only enforces the structural shape.  Whether the spectrum
-    actually satisfies the trace constraints is checked by
-    :func:`master_residuals` or :meth:`validate`, so deliberately invalid
-    spectra can be built for diagnostics.
+    Construction only enforces this structure.  The trace constraints are
+    checked by :func:`master_residuals` or :meth:`validate`, so deliberately
+    invalid spectra can be built for diagnostics.
     """
 
-    __slots__ = ("dimension", "values", "multiplicities", "label")
+    dimension: int
+    values: np.ndarray
+    multiplicities: np.ndarray
+    label: str = ""
 
-    def __init__(self, dimension: int, eigenvalues, label: str = ""):
-        dimension = _integer(dimension, "dimension", 2)
-        table = np.asarray(eigenvalues, dtype=float)
-        if table.size == 0:
-            raise ValueError("spectrum needs at least one eigenvalue")
-        if table.ndim != 2 or table.shape[1] != 2:
-            raise ValueError("eigenvalues must be (value, multiplicity) pairs")
-        values, counts = table.T.copy()  # the spectrum freezes them, so never the caller's array
-        # NaN fails the comparison; -inf is not positive and +inf cannot sum to the dimension
-        if not (np.rint(counts) == counts).all():
-            raise ValueError("multiplicities must be integers")
-        self._set(dimension, values, counts, label)
-
-    @classmethod
-    def _from_arrays(cls, dimension: int, values: np.ndarray, multiplicities: np.ndarray,
-                     label: str) -> "KernelSpectrum":
-        """Build from fresh 1-D float and integer arrays, which the spectrum takes
-        over and freezes."""
-        spectrum = cls.__new__(cls)
-        spectrum._set(dimension, values, multiplicities, label)
-        return spectrum
-
-    def _set(self, dimension: int, values: np.ndarray, multiplicities: np.ndarray,
-             label: str) -> None:
+    def __post_init__(self) -> None:
+        dimension = _integer(self.dimension, "dimension", 2)
+        # one fresh array each: the spectrum freezes them, so never the caller's
+        values = np.array(self.values, dtype=float)
+        counts = np.array(self.multiplicities)
+        if values.ndim != 1 or values.shape != counts.shape or not values.size:
+            raise ValueError("values and multiplicities must be 1-D arrays of equal, nonzero length")
+        if counts.dtype.kind not in "iu":
+            counts = counts.astype(float, copy=False)
+            # NaN fails the comparison; -inf is not positive and +inf cannot sum to the dimension
+            if not (np.rint(counts) == counts).all():
+                raise ValueError("multiplicities must be integers")
         # NaN fails every comparison, so it fails every check it reaches
-        if not multiplicities.min() >= 1:
+        if not counts.min() >= 1:
             raise ValueError("multiplicities must be positive")
-        if not multiplicities.sum() == dimension:
+        if not counts.sum() == dimension:
             raise ValueError("multiplicities must sum to the dimension")
         if not (values[1:] < values[:-1]).all():
             raise ValueError("eigenvalues must be strictly decreasing")
-        multiplicities = multiplicities.astype(np.int64, copy=False)
+        counts = counts.astype(np.int64, copy=False)
         values.setflags(write=False)
-        multiplicities.setflags(write=False)
-        for name, value in (("dimension", dimension), ("values", values),
-                            ("multiplicities", multiplicities), ("label", label)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable KernelSpectrum")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable KernelSpectrum")
+        counts.setflags(write=False)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "multiplicities", counts)
 
     def __reduce__(self):
-        return (KernelSpectrum._from_arrays,
-                (self.dimension, self.values, self.multiplicities, self.label))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dimension == other.dimension and self.label == other.label
-                and np.array_equal(self.values, other.values)
-                and np.array_equal(self.multiplicities, other.multiplicities))
-
-    def __hash__(self):
-        return hash((self.dimension, self.eigenvalues, self.label))
-
-    def __repr__(self):
-        return (f"KernelSpectrum(dimension={self.dimension!r}, "
-                f"eigenvalues={self.eigenvalues!r}, label={self.label!r})")
+        return KernelSpectrum, (self.dimension, self.values, self.multiplicities, self.label)
 
     @property
     def eigenvalues(self) -> tuple[tuple[float, int], ...]:
@@ -210,8 +174,7 @@ def spectrum_from_values(values, label: str = "") -> KernelSpectrum:
         if not flat[first] - flat[i] <= MERGE_TOL:
             head[i] = True
     starts = np.flatnonzero(head)
-    return KernelSpectrum._from_arrays(flat.size, flat[starts],
-                                       np.diff(starts, append=flat.size), label)
+    return KernelSpectrum(flat.size, flat[starts], np.diff(starts, append=flat.size), label)
 
 
 def two_block_spectrum(n_levels: int, k: int) -> KernelSpectrum:
@@ -236,8 +199,7 @@ def two_block_spectrum(n_levels: int, k: int) -> KernelSpectrum:
         Multiplicity of the negative block, 1 <= k <= N-1.
     """
     n, k, a, b = _two_block(n_levels, k)
-    return KernelSpectrum._from_arrays(n, np.array([a, b]), np.array([n - k, k], dtype=np.int64),
-                                       f"two-block k={k}")
+    return KernelSpectrum(n, (a, b), (n - k, k), f"two-block k={k}")
 
 
 def _two_block(n_levels: int, k: int) -> tuple[int, int, float, float]:

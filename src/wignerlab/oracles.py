@@ -243,8 +243,10 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
 
     per_block = max(1, _BLOCK_ELEMENTS // w.size)
 
-    # a normal X passes by u = sqrt(2 log(1/target)), where the first scan stops
-    first_scan = stop = min(math.ceil(math.sqrt(2.0 * math.log(1.0 / target)) / step), _MAX_NODES)
+    # a normal X passes by u = sqrt(2 log(1/target)), where the first scan stops; its target
+    # is clamped like the aliasing term's, so u >= sqrt(2 log 4) and a node is scanned
+    scan_to = math.sqrt(2.0 * math.log(4.0 / min(tol, 1.0)))
+    first_scan = stop = min(math.ceil(scan_to / step), _MAX_NODES)
     terms, sizes = [], []
     first = 0
     while True:

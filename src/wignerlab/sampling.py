@@ -11,6 +11,8 @@ bit-identical to a single draw from the same stream.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .kernels import KernelSpectrum, _integer
@@ -41,13 +43,14 @@ def sample_ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
 def hs_state(z: np.ndarray) -> np.ndarray:
     """Density matrix z^dagger z / tr(z^dagger z) of a Hilbert-Schmidt-random state.
 
-    Hermitian, unit trace, and positive semidefinite by construction.
+    Hermitian, unit trace, and positive semidefinite by construction.  A zero
+    matrix, or one whose trace is NaN or infinite, raises ValueError.
     """
     z = np.asarray(z)
     w = z.conj().T @ z
     tr = np.trace(w).real
-    if tr <= 0.0:
-        raise ValueError("cannot normalize the zero matrix to a state")
+    if not 0.0 < tr < math.inf:
+        raise ValueError(f"cannot normalize to a state: tr(z^dagger z) = {float(tr)!r}")
     return w / tr
 
 

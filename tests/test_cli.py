@@ -352,6 +352,14 @@ class TestOracleCommand:
         else:
             assert out == "" and "tol" in err
 
+    @pytest.mark.parametrize("route,tol", [(["--two-block", "2", "--cf"], "4"),
+                                           (["--random", "3"], "10")], ids=["cf-4", "random-10"])
+    def test_loose_tol_on_cf(self, capsys, route, tol):
+        """A tol of 4 or more once broke the CF first-scan length."""
+        code, out, err = run_cli(capsys, "oracle", "--n", "5", *route, "--tol", tol)
+        assert code == 0 and err == ""
+        assert parse_csv(out)[1][0][1] == "cf-inversion"
+
     def test_random_kernel_uses_cf(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "3", "--random", "11")
         assert code == 0

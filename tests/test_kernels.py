@@ -47,11 +47,9 @@ class TestTwoBlock:
         assert spec.values == pytest.approx([1.2182458365518542, -0.7182458365518542], abs=1e-13)
         assert list(spec.multiplicities) == [2, 2]
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 8, 64, 511, 512])
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_residuals_vanish(self, n, k):
-        if k > n - 1:
-            pytest.skip("no positive block")
+    @pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3)
+                                     for n in (2, 3, 4, 8, 64, 511, 512) if k < n])
+    def test_residuals_vanish(self, k, n):
         r1, r2 = master_residuals(two_block_spectrum(n, k))
         assert abs(r1) < 1e-10
         assert abs(r2) < 1e-9
@@ -64,7 +62,8 @@ class TestTwoBlock:
 
     def test_integral_numbers_are_counts(self):
         spec = two_block_spectrum(4.0, np.int64(1))
-        assert spec == two_block_spectrum(4, 1) and type(spec.dimension) is int
+        assert spec.eigenvalues == two_block_spectrum(4, 1).eigenvalues
+        assert type(spec.dimension) is int
 
     def test_negative_eigenvalue_always_present(self):
         for n in (2, 7, 33, 200):
@@ -115,21 +114,21 @@ class TestRandomSpectrum:
 class TestSpectrumStructure:
     def test_multiplicity_sum_enforced(self):
         with pytest.raises(ValueError, match="sum to the dimension"):
-            KernelSpectrum(3, ((1.5, 1), (-0.5, 1)))
+            KernelSpectrum(3, [1.5, -0.5], [1, 1])
 
     def test_strictly_decreasing_enforced(self):
         with pytest.raises(ValueError, match="decreasing"):
-            KernelSpectrum(2, ((-0.3, 1), (1.2, 1)))
+            KernelSpectrum(2, [-0.3, 1.2], [1, 1])
         with pytest.raises(ValueError, match="decreasing"):
-            KernelSpectrum(2, ((0.7, 1), (0.7, 1)))
+            KernelSpectrum(2, [0.7, 0.7], [1, 1])
 
     def test_positive_multiplicities(self):
         with pytest.raises(ValueError):
-            KernelSpectrum(2, ((1.5, 3), (-0.5, -1)))
+            KernelSpectrum(2, [1.5, -0.5], [3, -1])
 
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
-            KernelSpectrum(1, ((1.0, 1),))
+            KernelSpectrum(1, [1.0], [1])
 
     def test_expanded_unrolls_multiplicities(self):
         spec = two_block_spectrum(5, 2)
@@ -140,26 +139,26 @@ class TestSpectrumStructure:
 
     def test_validate_needs_constraints(self):
         # structurally fine, but trace constraints fail
-        bad = KernelSpectrum(2, ((1.0, 1), (-0.5, 1)))
+        bad = KernelSpectrum(2, [1.0, -0.5], [1, 1])
         with pytest.raises(ValueError, match="trace constraints"):
             bad.validate()
 
     def test_validate_needs_a_negative_eigenvalue(self):
         # sums to 1 and squares to N is impossible without a negative value,
         # so loosen the tolerance to isolate the sign check
-        allpos = KernelSpectrum(2, ((0.9, 1), (0.1, 1)))
+        allpos = KernelSpectrum(2, [0.9, 0.1], [1, 1])
         with pytest.raises(ValueError):
             allpos.validate(tol=10.0)
 
     @pytest.mark.parametrize("build,fragment", [
-        (lambda: KernelSpectrum(2, ((math.nan, 1), (math.nan, 1))), "decreasing"),
-        (lambda: KernelSpectrum(2, ((1.0, 1), (math.nan, 1))), "decreasing"),
+        (lambda: KernelSpectrum(2, [math.nan, math.nan], [1, 1]), "decreasing"),
+        (lambda: KernelSpectrum(2, [1.0, math.nan], [1, 1]), "decreasing"),
         (lambda: spectrum_from_values([1.0, math.nan]), "decreasing"),
         (lambda: spectrum_from_values([1.0, 1.0 - 0.5e-12, math.nan, -2.0]), "decreasing"),
         (lambda: spectrum_from_values([math.nan, math.nan, 1.0]), "decreasing"),
-        (lambda: KernelSpectrum(2, ((math.nan, 2),)), "trace constraints"),
+        (lambda: KernelSpectrum(2, [math.nan], [2]), "trace constraints"),
         (lambda: two_block_spectrum(2, 1).validate(tol=math.nan), "trace constraints"),
-        (lambda: KernelSpectrum(math.nan, ((1.0, 1),)), "dimension must be"),
+        (lambda: KernelSpectrum(math.nan, [1.0], [1]), "dimension must be"),
     ])
     def test_nan_fails_checks(self, build, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -183,23 +182,30 @@ class TestSpectrumStructure:
         (2, (1, -math.inf), "positive"),
     ])
     def test_non_integral_multiplicities_rejected(self, n, counts, fragment):
-        (a, _), (b, _) = two_block_spectrum(2, 1).eigenvalues
         with pytest.raises(ValueError, match=fragment):
-            KernelSpectrum(n, ((a, counts[0]), (b, counts[1])))
+            KernelSpectrum(n, two_block_spectrum(2, 1).values, counts)
 
     def test_integral_float_dimension_accepted(self):
-        spec = KernelSpectrum(4.0, ((1.5, 3), (-0.5, 1)))
-        assert spec == KernelSpectrum(4, ((1.5, 3), (-0.5, 1))) and type(spec.dimension) is int
+        spec = KernelSpectrum(4.0, [1.5, -0.5], [3, 1])
+        assert spec.dimension == 4 and type(spec.dimension) is int
 
     def test_integral_float_multiplicities_accepted(self):
-        spec = KernelSpectrum(4, ((1.5, 3.0), (-0.5, 1.0)))
+        spec = KernelSpectrum(4, [1.5, -0.5], np.array([3.0, 1.0]))
+        assert spec.multiplicities.dtype == np.int64
         assert spec.eigenvalues == ((1.5, 3), (-0.5, 1))
         assert all(type(m) is int for _, m in spec.eigenvalues)
 
-    @pytest.mark.parametrize("pairs", [(1.5, -0.5), ((1.5, 1, 0), (-0.5, 1, 0)), ()])
+    @pytest.mark.parametrize("pairs", [
+        ([1.5, -0.5], [2]),
+        ([[1.5, 1.0], [-0.5, 1.0]], [[1, 0], [1, 0]]),
+        ([], []),
+        (1.0, 2),
+        ([1.0, -1.0], [[1], [1]]),
+    ])
     def test_eigenvalues_must_be_pairs(self, pairs):
-        with pytest.raises(ValueError):
-            KernelSpectrum(2, pairs)
+        """Each eigenvalue has one multiplicity: two 1-D arrays of one nonzero length."""
+        with pytest.raises(ValueError, match="1-D arrays of equal, nonzero length"):
+            KernelSpectrum(2, *pairs)
 
 
 def sequential_blocks(values):
@@ -260,20 +266,25 @@ class TestSpectrumObject:
         with pytest.raises(AttributeError):
             delattr(spec, name)
 
-    def test_equal_fields_mean_equal_objects(self):
+    def test_caller_arrays_stay_writable(self):
+        values, counts = np.array([1.0, -1.0]), np.array([3, 2])
+        spec = KernelSpectrum(5, values, counts)
+        assert values.flags.writeable and counts.flags.writeable
+        values[0] = counts[0] = 0
+        assert spec.eigenvalues == ((1.0, 3), (-1.0, 2))
+
+    def test_equality_is_identity(self):
         a = two_block_spectrum(5, 2)
-        b = KernelSpectrum(5, ((1, 3), (-1, 2)), label="two-block k=2")
-        c = spectrum_from_values(a.expanded(), label="two-block k=2")
-        assert a == b == c
-        assert hash(a) == hash(b) == hash(c) == hash((5, ((1.0, 3), (-1.0, 2)), "two-block k=2"))
-        assert len({a, b, c}) == 1
-        assert a != KernelSpectrum(5, a.eigenvalues, label="other")
-        assert a != two_block_spectrum(5, 1)
-        assert a != (5, a.eigenvalues, a.label)
+        b = KernelSpectrum(5, a.values, a.multiplicities, label=a.label)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+        assert np.array_equal(a.values, b.values) and a.label == b.label
 
     def test_repr_shows_the_fields(self):
-        assert repr(two_block_spectrum(5, 2)) == (
-            "KernelSpectrum(dimension=5, eigenvalues=((1.0, 3), (-1.0, 2)), label='two-block k=2')")
+        text = repr(two_block_spectrum(5, 2))
+        for field in ("KernelSpectrum(dimension=5", "values=array([ 1., -1.])",
+                      "multiplicities=array([3, 2])", "label='two-block k=2')"):
+            assert field in text
 
     @pytest.mark.parametrize("clone", [
         pytest.param(copy.copy, id="copy"),
@@ -284,12 +295,21 @@ class TestSpectrumObject:
     def test_copies_round_trip(self, clone):
         for spec in (two_block_spectrum(5, 2), random_spectrum(64, np.random.default_rng(2))):
             twin = clone(spec)
-            assert twin == spec
-            assert hash(twin) == hash(spec)
-            assert repr(twin) == repr(spec)
+            assert twin is not spec and twin.dimension == spec.dimension
+            assert np.array_equal(twin.values, spec.values)
+            assert np.array_equal(twin.multiplicities, spec.multiplicities)
+            assert twin.label == spec.label
+            assert twin.values.dtype == np.float64 and twin.multiplicities.dtype == np.int64
             assert not twin.values.flags.writeable
             assert not twin.multiplicities.flags.writeable
             twin.validate()
+
+    def test_copies_are_checked(self):
+        forged = two_block_spectrum(5, 2)
+        object.__setattr__(forged, "multiplicities", np.array([3, 3]))
+        for clone in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+            with pytest.raises(ValueError, match="sum to the dimension"):
+                clone(forged)
 
 
 class TestMoments:

@@ -188,7 +188,7 @@ _NAN = float("nan")
      "non-finite"),
     (lambda: estimate_global(two_block_spectrum(2, 1), 10, 1, method="full-ginibre",
                              phase_point=np.full((2, 2), _NAN)), "unitary"),
-    (lambda: estimate_global(KernelSpectrum(2, ((_NAN, 2),)), 10, 1), "trace constraints"),
+    (lambda: estimate_global(KernelSpectrum(2, [_NAN], [2]), 10, 1), "trace constraints"),
     (lambda: estimate_global(two_block_spectrum(2, 1), _NAN, 1), "trials must be"),
     (lambda: KernelSelector.two_block(_NAN), "k must be"),
     (lambda: SweepConfig(dimensions=(_NAN,), kernels=(), trials=10, seed=0), "N must be"),

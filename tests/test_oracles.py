@@ -249,7 +249,7 @@ class TestCfInversion:
             cf_inversion_exact(two_block_spectrum(4, 1), tol=1e-15)
 
     def test_invalid_spectrum_rejected(self):
-        bad = KernelSpectrum(2, ((1.0, 1), (-0.5, 1)))
+        bad = KernelSpectrum(2, [1.0, -0.5], [1, 1])
         with pytest.raises(ValueError):
             cf_inversion_exact(bad)
 
@@ -316,6 +316,14 @@ class TestNegativeProbability:
         with pytest.raises(ValueError, match=fragment):
             negative_probability(weights, shapes, tol)
 
+    @pytest.mark.parametrize("tol", [4.0, 10.0, math.inf])
+    def test_loose_tolerance_is_met(self, tol):
+        """From tol = 4 on, tol/4 >= 1 used to break the CF first-scan length."""
+        res = negative_probability((1.0, -1.0, 0.5), (1.0, 1.0, 1.0), tol=tol)
+        tight = negative_probability((1.0, -1.0, 0.5), (1.0, 1.0, 1.0))
+        assert res.method == "cf-inversion" and res.estimated_abs_error <= tol
+        assert abs(res.value - tight.value) <= res.estimated_abs_error + tight.estimated_abs_error
+
     def test_beta_route_unreachable_tolerance_raises(self):
         """Neither the beta bound nor the CF fallback meets tol = 1e-15."""
         with pytest.raises(ConvergenceError):
@@ -356,7 +364,7 @@ class TestCltQuadrature:
 @pytest.mark.parametrize("call", [
     lambda: clt_probability(1.0, tol=math.nan),
     lambda: cf_inversion_exact(two_block_spectrum(2, 1), tol=math.nan),
-    lambda: cf_inversion_exact(KernelSpectrum(2, ((math.nan, 2),))),
+    lambda: cf_inversion_exact(KernelSpectrum(2, [math.nan], [2])),
 ])
 def test_nan_inputs_rejected(call):
     with pytest.raises(ValueError):

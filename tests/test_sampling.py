@@ -63,6 +63,11 @@ class TestHsState:
         with pytest.raises(ValueError):
             hs_state(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("fill", [np.nan, np.inf])
+    def test_non_finite_trace_rejected(self, fill):
+        with pytest.raises(ValueError, match="cannot normalize"):
+            hs_state(np.full((2, 2), fill))
+
     @pytest.mark.parametrize("n", [2, 4, 8, 32])
     def test_invariants_on_random_draws(self, n):
         rng = np.random.default_rng(n)
