@@ -1,9 +1,9 @@
 """Command-line front end: kernels, estimates, sweeps, oracles, per-state runs.
 
 Exit codes: 0 success, 2 usage or validation error, 3 runtime failure.
-All estimate-like commands honor --seed and are reproducible modulo the
-wall-time column; --workers (or the WIGNERLAB_WORKERS environment variable)
-never changes the counts, only who computes them.
+Every estimate row is one SweepRecord, reproducible from --seed modulo the
+wall-time column; --workers (default 1) never changes the counts, only who
+computes them.
 """
 from __future__ import annotations
 
@@ -11,18 +11,18 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-import time
+from dataclasses import asdict
 
 import numpy as np
 
-from .kernels import KernelSpectrum, _integer, master_residuals, moments
+from .kernels import KernelSpectrum, master_residuals, moments
 from .montecarlo import (
     METHODS,
     KernelSelector,
     SweepConfig,
     SweepRecord,
+    _derive_seed,
     check_state,
     estimate_global,
     estimate_state,
@@ -49,24 +49,10 @@ ORACLE_COLUMNS = ["value", "method", "estimated_abs_error"]
 _KERNEL_TOKEN_TAG = 0x6B65726E
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("WIGNERLAB_WORKERS", "").strip() or "1"
-    try:
-        return _integer(int(raw), "WIGNERLAB_WORKERS", 1)
-    except ValueError:
-        raise ValueError(f"WIGNERLAB_WORKERS must be an integer >= 1, got {raw!r}") from None
-
-
-def _resolve_workers(args) -> int:
-    return args.workers if args.workers is not None else _default_workers()
-
-
 def _selector_from_args(args) -> KernelSelector:
-    if getattr(args, "two_block", None) is not None:
+    if args.two_block is not None:
         return KernelSelector.two_block(args.two_block)
-    if getattr(args, "random_seed", None) is not None:
-        return KernelSelector.random(args.random_seed)
-    raise ValueError("choose a kernel family: --two-block K or --random SEED")
+    return KernelSelector.random(args.random_seed)
 
 
 def _parse_kernel_token(token: str, master_seed: int, position: int) -> KernelSelector:
@@ -75,9 +61,7 @@ def _parse_kernel_token(token: str, master_seed: int, position: int) -> KernelSe
         if t.startswith("k="):
             return KernelSelector.two_block(int(t[2:]))
         if t == "random":
-            derived = int(np.random.SeedSequence(
-                entropy=(master_seed, _KERNEL_TOKEN_TAG, position)).generate_state(1, np.uint64)[0])
-            return KernelSelector.random(derived)
+            return KernelSelector.random(_derive_seed(master_seed, _KERNEL_TOKEN_TAG, position))
         if t.startswith("random="):
             return KernelSelector.random(int(t.split("=", 1)[1]))
     except ValueError:
@@ -120,21 +104,9 @@ def load_state_file(path: str, expected_n: int | None = None) -> np.ndarray:
 
 
 def _record_payload(rec: SweepRecord, oracle_value: float | None) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "N": rec.dimension,
-        "kernel_label": rec.kernel_label,
-        "k": rec.k if rec.k is not None else "random",
-        "method": rec.method,
-        "trials": rec.trials,
-        "negatives": rec.negatives,
-        "p_hat": rec.p_hat,
-        "ci_low": rec.ci_low,
-        "ci_high": rec.ci_high,
-        "oracle_value": oracle_value,
-        "seed": rec.seed,
-        "wall_time_s": rec.wall_time_s,
-    }
+    row = {**asdict(rec), "schema_version": SCHEMA_VERSION, "N": rec.dimension,
+           "k": "random" if rec.k is None else rec.k, "oracle_value": oracle_value}
+    return {key: row[key] for key in CSV_COLUMNS}
 
 
 def _render(rows: list[dict], columns: list[str], fmt: str, single: bool) -> str:
@@ -181,11 +153,7 @@ def _cmd_kernel(args) -> int:
             "label": spectrum.label,
             "eigenvalues": [[v, m] for v, m in spectrum.eigenvalues],
             "residuals": {"trace": r1, "square_trace": r2},
-            "moments": {
-                "pos_sum": mom.pos_sum, "neg_abs_sum": mom.neg_abs_sum,
-                "pos_sq_sum": mom.pos_sq_sum, "neg_sq_sum": mom.neg_sq_sum,
-                "num_nonneg": mom.num_nonneg, "sigma_ratio": mom.sigma_ratio,
-            },
+            "moments": asdict(mom),
         }
         _emit(json.dumps(payload, indent=2), args.out)
         return 0
@@ -206,13 +174,9 @@ def _cmd_kernel(args) -> int:
 def _cmd_estimate(args) -> int:
     selector = _selector_from_args(args)
     spectrum = selector.build(args.n)
-    workers = _resolve_workers(args)
-    start = time.perf_counter()
-    est = estimate_global(spectrum, args.trials, args.seed,
-                          method=args.method, workers=workers, z=args.z)
-    wall = time.perf_counter() - start
+    rec = SweepRecord.timed(spectrum, selector.k, lambda: estimate_global(
+        spectrum, args.trials, args.seed, method=args.method, workers=args.workers, z=args.z))
     oracle_value = _kernel_oracle(selector, spectrum).value if args.oracle else None
-    rec = SweepRecord.from_estimate(spectrum, selector.k, est, wall)
     _emit(_render([_record_payload(rec, oracle_value)], CSV_COLUMNS, args.format, single=True),
           args.out)
     return 0
@@ -246,8 +210,8 @@ _SWEEP_TYPES = {
 
 
 def _sweep_settings(args) -> dict:
-    """Sweep settings: the config file's, then the flags over them; seed defaults to 0
-    and workers to ``WIGNERLAB_WORKERS`` or 1, the rest to SweepConfig's defaults."""
+    """Sweep settings: the config file's, then the flags over them; seed defaults
+    to 0, the rest to SweepConfig's defaults."""
     conf: dict = {}
     if args.config:
         with open(args.config) as fh:
@@ -269,8 +233,6 @@ def _sweep_settings(args) -> dict:
         if key not in conf:
             raise ValueError(f"sweep needs {flag} or a config file with {key!r}")
     conf.setdefault("seed", 0)
-    if "workers" not in conf:
-        conf["workers"] = _default_workers()
     return conf
 
 
@@ -329,11 +291,8 @@ def _cmd_state(args) -> int:
         rho[j - 1, j - 1] = 1.0
     else:
         rho = load_state_file(args.state_file, expected_n=args.n)
-    workers = _resolve_workers(args)
-    start = time.perf_counter()
-    est = estimate_state(rho, spectrum, args.trials, args.seed, workers=workers, z=args.z)
-    wall = time.perf_counter() - start
-    rec = SweepRecord.from_estimate(spectrum, selector.k, est, wall)
+    rec = SweepRecord.timed(spectrum, selector.k, lambda: estimate_state(
+        rho, spectrum, args.trials, args.seed, workers=args.workers, z=args.z))
     _emit(_render([_record_payload(rec, None)], CSV_COLUMNS, args.format, single=True), args.out)
     return 0
 
@@ -346,8 +305,21 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool) -> None:
                        help="random kernel spectrum drawn deterministically from SEED")
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, default_format: str = "csv") -> None:
-    parser.add_argument("--format", choices=["csv", "json", "pretty"], default=default_format)
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of one seeded estimate, shared by ``estimate`` and ``state``."""
+    parser.add_argument("--n", type=int, required=True, metavar="N")
+    _add_family_flags(parser, required=True)
+    parser.add_argument("--trials", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="thread count, capped at the chunk and CPU counts; "
+                             "never changes the counts (default: 1)")
+    parser.add_argument("--z", type=float, default=1.96)
+
+
+def _add_output_flags(parser: argparse.ArgumentParser,
+                      formats: tuple[str, ...] = ("csv", "json", "pretty")) -> None:
+    parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write output to PATH instead of stdout")
 
@@ -362,20 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel = sub.add_parser("kernel", help="print a kernel spectrum with residuals and moments")
     p_kernel.add_argument("--n", type=int, required=True, metavar="N")
     _add_family_flags(p_kernel, required=True)
-    p_kernel.add_argument("--format", choices=["pretty", "json"], default="pretty")
-    p_kernel.add_argument("--out", metavar="PATH", default=None)
+    _add_output_flags(p_kernel, ("pretty", "json"))
     p_kernel.set_defaults(handler=_cmd_kernel)
 
     p_est = sub.add_parser("estimate", help="Monte Carlo negativity probability of random states")
-    p_est.add_argument("--n", type=int, required=True, metavar="N")
-    _add_family_flags(p_est, required=True)
-    p_est.add_argument("--trials", type=int, required=True)
-    p_est.add_argument("--seed", type=int, default=0)
+    _add_run_flags(p_est)
     p_est.add_argument("--method", choices=METHODS, default=METHODS[0])
-    p_est.add_argument("--workers", type=int, default=None,
-                       help="thread count, capped at the CPU count "
-                            "(default: WIGNERLAB_WORKERS or 1)")
-    p_est.add_argument("--z", type=float, default=1.96)
     p_est.add_argument("--oracle", action="store_true", help="fill the oracle_value column")
     _add_output_flags(p_est)
     p_est.set_defaults(handler=_cmd_estimate)
@@ -414,18 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(handler=_cmd_oracle)
 
     p_state = sub.add_parser("state", help="phase-space negativity volume of one state")
-    p_state.add_argument("--n", type=int, required=True, metavar="N")
+    _add_run_flags(p_state)
     state_group = p_state.add_mutually_exclusive_group(required=True)
     state_group.add_argument("--maximally-mixed", action="store_true")
     state_group.add_argument("--pure-basis", type=int, metavar="J",
                              help="basis projector |j><j|, 1-based index")
     state_group.add_argument("--state-file", metavar="PATH",
                              help="text file: first line N, then N^2 lines 're im' row-major")
-    _add_family_flags(p_state, required=True)
-    p_state.add_argument("--trials", type=int, required=True)
-    p_state.add_argument("--seed", type=int, default=0)
-    p_state.add_argument("--workers", type=int, default=None)
-    p_state.add_argument("--z", type=float, default=1.96)
     _add_output_flags(p_state)
     p_state.set_defaults(handler=_cmd_state)
 
@@ -440,12 +399,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Seeded Monte Carlo estimation of negativity probabilities.
 
 Stream discipline: trials are split into fixed chunks of 2**16 samples;
-chunk i draws from ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``
-and the reduction is an integer sum of per-chunk negative counts.  Counts
+chunk i draws from the child stream ``_child_rng(seed, i)`` and the
+reduction is an integer sum of per-chunk negative counts.  Counts
 are therefore bit-identical for any worker count, and independent of the
 internal sub-batch size because consecutive draws from one generator
 concatenate exactly as a single larger draw would.
@@ -28,7 +28,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -68,8 +68,14 @@ class SweepError(RuntimeError):
     """A sweep point failed; the message identifies which one."""
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
+def _child_rng(seed: int, index: int) -> np.random.Generator:
+    """Child stream ``index`` of ``seed``: a chunk's draws, or a random kernel's at N=index."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def _derive_seed(*entropy: int) -> int:
+    """One 64-bit seed mixed from ``entropy``: a sweep point's, or a bare random kernel's."""
+    return int(np.random.SeedSequence(entropy=entropy).generate_state(1, np.uint64)[0])
 
 
 def _chunks(trials: int) -> list[tuple[int, int]]:
@@ -81,7 +87,7 @@ def _chunks(trials: int) -> list[tuple[int, int]]:
 def _count(seed: int, row_floats: int, values, chunk: tuple[int, int]) -> int:
     """Negative count of one chunk; ``values(m, rng)`` draws and reduces m samples."""
     index, size = chunk
-    rng = _chunk_rng(seed, index)
+    rng = _child_rng(seed, index)
     rows = max(1, _BUDGET // row_floats)
     negatives = 0
     for done in range(0, size, rows):
@@ -330,14 +336,19 @@ class KernelSelector:
         """Materialize the spectrum for one dimension."""
         if self.kind == "two-block":
             return two_block_spectrum(n_levels, self.k)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(n_levels,)))
-        return random_spectrum(n_levels, rng, label=self.describe())
+        return random_spectrum(n_levels, _child_rng(self.seed, n_levels), label=self.describe())
 
     def describe(self) -> str:
         if self.kind == "two-block":
             return f"two-block k={self.k}"
         return f"random s={self.seed}"
+
+
+def _items(value, name: str) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -353,39 +364,35 @@ class SweepConfig:
     method: str = METHODS[0]
 
     def __post_init__(self) -> None:
-        dimensions = tuple(_integer(n, "N", 2) for n in self.dimensions)
+        dimensions = tuple(_integer(n, "N", 2) for n in _items(self.dimensions, "dimensions"))
+        kernels = _items(self.kernels, "kernels")
+        if not all(isinstance(sel, KernelSelector) for sel in kernels):
+            raise ValueError(f"kernels must be KernelSelector instances, got {kernels!r}")
         trials, seed, workers = _check_run(self.trials, self.seed, self.workers, self.z,
                                            self.method)
-        for name, value in (("dimensions", dimensions), ("kernels", tuple(self.kernels)),
+        for name, value in (("dimensions", dimensions), ("kernels", kernels),
                             ("trials", trials), ("seed", seed), ("workers", workers)):
             object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    """One estimated sweep point, CSV-row shaped; ``wall_time_s`` times the
-    estimate alone, not the kernel build or an oracle value."""
+class SweepRecord(NegativityEstimate):
+    """A NegativityEstimate, fields and checks, plus its sweep point; ``wall_time_s``
+    times the estimate alone, not the kernel build or an oracle value."""
 
     dimension: int
     kernel_label: str
     k: int | None
-    method: str
-    trials: int
-    negatives: int
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    seed: int
     wall_time_s: float
 
     @classmethod
-    def from_estimate(cls, spectrum: KernelSpectrum, k: int | None,
-                      est: NegativityEstimate, wall_time_s: float) -> "SweepRecord":
-        """The record of ``est``, an estimate for ``spectrum`` (``k`` None for random kernels)."""
-        return cls(dimension=spectrum.dimension, kernel_label=spectrum.label, k=k,
-                   method=est.method, trials=est.trials, negatives=est.negatives,
-                   p_hat=est.p_hat, ci_low=est.ci_low, ci_high=est.ci_high, seed=est.seed,
-                   wall_time_s=wall_time_s)
+    def timed(cls, spectrum: KernelSpectrum, k: int | None, run) -> "SweepRecord":
+        """The record of ``run()``, an estimate for ``spectrum``, timed around that call alone."""
+        start = time.perf_counter()
+        est = run()
+        wall_time_s = time.perf_counter() - start
+        return cls(**asdict(est), dimension=spectrum.dimension, kernel_label=spectrum.label,
+                   k=k, wall_time_s=wall_time_s)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -402,16 +409,13 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     for index, (n, selector) in enumerate(grid):
         if not selector.valid_for(n):
             continue
-        point_seed = int(np.random.SeedSequence(
-            entropy=(config.seed, index)).generate_state(1, np.uint64)[0])
+        seed = _derive_seed(config.seed, index)
         try:
             spectrum = selector.build(n)
-            start = time.perf_counter()
-            est = estimate_global(spectrum, config.trials, point_seed,
-                                  method=config.method, workers=config.workers, z=config.z)
-            wall = time.perf_counter() - start
+            records.append(SweepRecord.timed(spectrum, selector.k, lambda: estimate_global(
+                spectrum, config.trials, seed, method=config.method, workers=config.workers,
+                z=config.z)))
         except Exception as exc:
             raise SweepError(
                 f"sweep point N={n}, kernel {selector.describe()} failed: {exc}") from exc
-        records.append(SweepRecord.from_estimate(spectrum, selector.k, est, wall))
     return records

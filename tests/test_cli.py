@@ -291,6 +291,26 @@ class TestSweepCommand:
         assert code == 2 and out == ""
         assert "z must be" in err and "sweep point" not in err
 
+    @pytest.mark.parametrize("argv,fragment", [
+        (["--n", "2,x", "--kernels", "k=1"], "cannot parse dimension list '2,x'"),
+        (["--kernels", "k=1"], "sweep needs --n"),
+        (["--n", "2", "--kernels", "k=abc"], "cannot parse kernel token 'k=abc'"),
+    ], ids=["dimension-list", "no-dimensions", "k-not-int"])
+    def test_unusable_arguments(self, capsys, argv, fragment):
+        code, out, err = run_cli(capsys, "sweep", *argv, "--trials", "10")
+        assert code == 2 and out == ""
+        assert fragment in err
+
+    def test_derived_seeds_pinned(self, capsys):
+        """Sweep point seeds and the seed of a bare random token come from the master seed."""
+        code, out, _ = run_cli(capsys, "sweep", "--n", "2,3", "--kernels", "k=1,random",
+                               "--trials", "1000", "--seed", "1")
+        assert code == 0
+        label = "random s=4371855513838412876"
+        assert [(r[1], r[2], r[11]) for r in parse_csv(out)[1]] == [
+            ("2", "two-block k=1", "7434755675892716031"), ("2", label, "77803131892610477"),
+            ("3", "two-block k=1", "15529898885419721899"), ("3", label, "17579876663566485232")]
+
     def test_bad_kernel_token(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "2", "--kernels", "q=3",
                                "--trials", "16", "--seed", "1")
@@ -420,6 +440,9 @@ class TestStateCommand:
         ("2\n0.5 0.0\n0.5 0.0\n", "entry lines"),
         ("2\nfish 0.0\n0.0 0.0\n0.0 0.0\n1.0 0.0\n", "non-numeric"),
         ("", "empty"),
+        ("two\n", "first line must be the dimension"),
+        ("0\n", "dimension must be >= 1"),
+        ("2\n0.5 0.0 0.0\n0.0 0.0\n0.0 0.0\n0.5 0.0\n", "expected 're im'"),
     ])
     def test_malformed_state_files(self, capsys, tmp_path, content, fragment):
         path = tmp_path / "bad.txt"
@@ -454,28 +477,21 @@ class TestStateCommand:
         assert code == 3
 
 
-class TestWorkersEnvironment:
-    def test_env_override_validated(self, capsys, monkeypatch):
+class TestWorkersFlag:
+    @pytest.mark.parametrize("command", [
+        ("estimate", "--n", "2", "--two-block", "1"),
+        ("state", "--n", "2", "--pure-basis", "1", "--two-block", "1"),
+    ], ids=["estimate", "state"])
+    def test_workers_flag_keeps_counts(self, capsys, monkeypatch, command):
+        """--workers is the one worker setting: it defaults to 1, the environment
+        does not set it, and it never changes a count."""
         monkeypatch.setenv("WIGNERLAB_WORKERS", "0")
-        code, _, err = run_cli(capsys, "estimate", "--n", "2", "--two-block", "1",
-                               "--trials", "16", "--seed", "1")
-        assert code == 2
-        assert "WIGNERLAB_WORKERS" in err
-
-    def test_env_override_keeps_counts(self, capsys, monkeypatch):
-        argv = ("estimate", "--n", "2", "--two-block", "1", "--trials", "70000", "--seed", "8")
-        monkeypatch.delenv("WIGNERLAB_WORKERS", raising=False)
-        _, out1, _ = run_cli(capsys, *argv)
-        monkeypatch.setenv("WIGNERLAB_WORKERS", "2")
-        _, out2, _ = run_cli(capsys, *argv)
-        idx = CSV_COLUMNS.index("negatives")
-        assert parse_csv(out1)[1][0][idx] == parse_csv(out2)[1][0][idx]
-
-    def test_workers_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("WIGNERLAB_WORKERS", "not-a-number")
-        code, _, _ = run_cli(capsys, "estimate", "--n", "2", "--two-block", "1",
-                             "--trials", "16", "--seed", "1", "--workers", "1")
-        assert code == 0
+        argv = (*command, "--trials", "70000", "--seed", "8")
+        code1, out1, _ = run_cli(capsys, *argv)
+        code2, out2, _ = run_cli(capsys, *argv, "--workers", "2")
+        assert code1 == code2 == 0
+        wall = CSV_COLUMNS.index("wall_time_s")
+        assert parse_csv(out1)[1][0][:wall] == parse_csv(out2)[1][0][:wall]
 
 
 class TestEntryPoints:

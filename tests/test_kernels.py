@@ -164,6 +164,14 @@ class TestSpectrumStructure:
         with pytest.raises(ValueError, match=fragment):
             build().validate()
 
+    @pytest.mark.parametrize("call,fragment", [
+        (lambda: spectrum_from_values([1.0]), "need at least two eigenvalues"),
+        (lambda: moments(KernelSpectrum(2, [-0.5, -1.5], [1, 1])), "no non-negative eigenvalue"),
+    ], ids=["one-value", "no-nonnegative"])
+    def test_unusable_spectra_rejected(self, call, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            call()
+
     def test_from_values_merges_ties(self):
         spec = spectrum_from_values([0.5, 0.5 + 1e-14, -0.25, 1.25])
         assert list(spec.multiplicities) == [1, 2, 1]

@@ -9,6 +9,7 @@ from wignerlab.montecarlo import (
     NegativityEstimate,
     SweepConfig,
     SweepError,
+    SweepRecord,
     estimate_global,
     estimate_state,
     run_sweep,
@@ -230,6 +231,27 @@ def test_counts_must_be_integers(call, fragment):
         call()
 
 
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: estimate_global(_SPEC2, 10, 1, method="full-ginibre", phase_point=np.eye(3)),
+     r"phase point shape \(3, 3\) does not match N=2"),
+    (lambda: KernelSelector("random", k=1, seed=1), "random selector takes no k"),
+    (lambda: SweepConfig(dimensions=(2,), kernels=("k=1",), trials=10, seed=0),
+     "kernels must be KernelSelector"),
+    (lambda: SweepConfig(dimensions=(2,), kernels=None, trials=10, seed=0),
+     "kernels must be a sequence"),
+    (lambda: SweepConfig(dimensions=2, kernels=_SEL1, trials=10, seed=0),
+     "dimensions must be a sequence"),
+    (lambda: SweepRecord(trials=10, negatives=5, p_hat=0.4, ci_low=0.2, ci_high=0.8, seed=0,
+                         method="fast-gamma", dimension=2, kernel_label="two-block k=1", k=1,
+                         wall_time_s=0.0), "p_hat is not negatives/trials"),
+], ids=["phase-point-shape", "random-with-k", "kernel-token", "no-kernels", "one-dimension",
+        "record-p-hat"])
+def test_run_inputs_rejected(call, fragment):
+    """Unusable run inputs raise ValueError when they are built, before any sampling."""
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
 _DFT3 = np.fft.fft(np.eye(3)) / np.sqrt(3)
 _RHO3 = np.array([[0.5, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.2]], dtype=complex)
 
@@ -325,6 +347,13 @@ class TestSelectors:
         assert a.label == "random s=77"
         assert sel.valid_for(2) and not sel.valid_for(1)
 
+    def test_random_selector_stream_pinned(self):
+        """A random kernel's eigenvalues come from child stream N of the selector's seed."""
+        values = KernelSelector.random(123).build(6).expanded()
+        assert [float(v).hex() for v in values] == [
+            "0x1.d235d3aaab93bp+0", "0x1.9a0ada3186982p-1", "0x1.2fb3fdda9d7b9p-1",
+            "-0x1.210a910f4e916p-1", "-0x1.83c1b443fbf01p-1", "-0x1.c95e3a0e30b9dp-1"]
+
     def test_random_selector_varies_with_dimension(self):
         sel = KernelSelector.random(77)
         assert sel.build(4).dimension == 4
@@ -368,6 +397,16 @@ class TestSweep:
         assert rec.kernel_label == "two-block k=1"
         assert rec.k == 1
         assert 0.10 <= rec.p_hat <= 0.13
+
+    def test_record_is_the_estimate_plus_its_point(self):
+        config = SweepConfig(dimensions=(3,), kernels=(KernelSelector.random(9),),
+                             trials=5000, seed=13, workers=2)
+        (rec,) = run_sweep(config)
+        spec = KernelSelector.random(9).build(3)
+        assert isinstance(rec, NegativityEstimate)
+        est = estimate_global(spec, 5000, rec.seed)
+        assert rec == SweepRecord(**vars(est), dimension=3, kernel_label=spec.label, k=None,
+                                  wall_time_s=rec.wall_time_s)
 
     def test_empty_dimensions(self):
         config = SweepConfig(dimensions=(), kernels=(KernelSelector.two_block(1),),
