@@ -16,12 +16,13 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .kernels import KernelSpectrum, master_residuals, moments
+from .kernels import KernelSpectrum, _integer, master_residuals, moments
 from .montecarlo import (
     METHODS,
     KernelSelector,
     SweepConfig,
     SweepRecord,
+    _SEED_MAX,
     _derive_seed,
     check_state,
     estimate_global,
@@ -57,15 +58,15 @@ def _selector_from_args(args) -> KernelSelector:
 
 def _parse_kernel_token(token: str, master_seed: int, position: int) -> KernelSelector:
     t = token.strip()
-    try:
-        if t.startswith("k="):
-            return KernelSelector.two_block(int(t[2:]))
-        if t == "random":
-            return KernelSelector.random(_derive_seed(master_seed, _KERNEL_TOKEN_TAG, position))
-        if t.startswith("random="):
-            return KernelSelector.random(int(t.split("=", 1)[1]))
-    except ValueError:
-        pass
+    if t == "random":
+        return KernelSelector.random(_derive_seed(master_seed, _KERNEL_TOKEN_TAG, position))
+    for prefix, build in (("k=", KernelSelector.two_block), ("random=", KernelSelector.random)):
+        if t.startswith(prefix):
+            try:
+                value = int(t[len(prefix):])
+            except ValueError:
+                break
+            return build(value)  # the selector's own check names a bad k or seed
     raise ValueError(f"cannot parse kernel token {token!r}; use k=INT, random, or random=SEED")
 
 
@@ -238,7 +239,8 @@ def _sweep_settings(args) -> dict:
 
 def _cmd_sweep(args) -> int:
     conf = _sweep_settings(args)
-    selectors = [_parse_kernel_token(tok, conf["seed"], pos)
+    seed = _integer(conf["seed"], "seed", 0, _SEED_MAX)
+    selectors = [_parse_kernel_token(tok, seed, pos)
                  for pos, tok in enumerate(conf["kernels"])]
     records = run_sweep(SweepConfig(**{**conf, "kernels": selectors}))
 

@@ -11,6 +11,11 @@ tolerance included, to characteristic-function inversion;
 ends.  A quadrature for the large-N normal reduction and the limit constant
 itself complete the set.
 
+Only the beta form (scipy.special) and the normal-reduction quadrature
+(scipy.special and scipy.integrate) use scipy, and they import it on first
+call; the CF inversion runs on numpy and the limit on the math module, so
+importing the package loads no scipy module.
+
 The CF inversion is Davies' half-offset trapezoid rule (Davies 1973,
 Biometrika 60; Algorithm AS 155, 1980) on the unit-variance variable
 X = S / sigma, so its nodes are spaced alike at every N.  Its reported error
@@ -25,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincc, betaln, ndtr
 
 from .kernels import KernelSpectrum, _two_block
 
@@ -129,6 +133,8 @@ def negative_probability(weights, shapes, tol: float = 1e-10) -> OracleResult:
     """
     w, s = _checked(weights, shapes, tol)
     if w.size == 2:
+        from scipy.special import betaincc, betaln
+
         (wp, wn), (sp, sn) = (w, s) if w[0] > 0.0 else (w[::-1], s[::-1])
         y = float(wp / (wp - wn))
         log_pdf = (sn - 1.0) * math.log(y) + (sp - 1.0) * math.log1p(-y) - betaln(sn, sp)
@@ -310,13 +316,15 @@ def clt_probability(t: float, tol: float = 1e-9) -> OracleResult:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    # scipy.special and scipy.integrate take most of a cold start; like the beta form's
+    # scipy.special, they load on first use, so the CF and limit routes run without scipy
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+
     shift = math.sqrt(t * t + 1.0)
 
     def integrand(y: float) -> float:
         return float(ndtr(y * t - shift)) * math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
-
-    # scipy.integrate is the slowest import of the package and only this route needs it
-    from scipy.integrate import quad
 
     window = 13.0
     # for large t the CDF factor switches on over a width ~1/t around y = shift/t;

@@ -295,7 +295,13 @@ class TestSweepCommand:
         (["--n", "2,x", "--kernels", "k=1"], "cannot parse dimension list '2,x'"),
         (["--kernels", "k=1"], "sweep needs --n"),
         (["--n", "2", "--kernels", "k=abc"], "cannot parse kernel token 'k=abc'"),
-    ], ids=["dimension-list", "no-dimensions", "k-not-int"])
+        (["--n", "2", "--kernels", "random", "--seed", "-1"],
+         "seed must be an integer in [0, 18446744073709551615], got -1"),
+        (["--n", "2", "--kernels", "random=-5"],
+         "seed must be an integer in [0, 18446744073709551615], got -5"),
+        (["--n", "2", "--kernels", "k=0"], "k must be an integer >= 1"),
+    ], ids=["dimension-list", "no-dimensions", "k-not-int", "random-bad-master-seed",
+            "random-bad-seed", "k-zero"])
     def test_unusable_arguments(self, capsys, argv, fragment):
         code, out, err = run_cli(capsys, "sweep", *argv, "--trials", "10")
         assert code == 2 and out == ""

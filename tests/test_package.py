@@ -1,3 +1,8 @@
+import dataclasses
+import json
+import subprocess
+import sys
+
 import wignerlab
 from wignerlab import kernels, montecarlo, oracles, sampling
 
@@ -11,3 +16,43 @@ def test_exports_are_the_modules_public_names():
         for name in module.__all__:
             assert getattr(wignerlab, name) is getattr(module, name)
     assert wignerlab.check_state is montecarlo.check_state
+
+
+def _fresh_interpreter(code: str):
+    """Run ``code`` in a new interpreter with this one's environment, PYTHONPATH
+    included, and decode the JSON on the last line it prints."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_and_scipy_free_commands_load_no_scipy():
+    """scipy loads only on the beta and CLT routes, so these commands start without it."""
+    commands = [["oracle", "--limit"], ["oracle", "--n", "64", "--random", "3"],
+                ["kernel", "--n", "8", "--two-block", "1"],
+                ["estimate", "--n", "8", "--two-block", "1", "--trials", "1000", "--seed", "1"]]
+    loaded = _fresh_interpreter(f"""
+import json, sys
+import wignerlab, wignerlab.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+loaded = [["import", 0, scipy_modules()]]
+for argv in {commands!r}:
+    code = wignerlab.cli.main(argv)
+    loaded.append([" ".join(argv), code, scipy_modules()])
+print(json.dumps(loaded))
+""")
+    assert loaded == [["import", 0, []]] + [[" ".join(argv), 0, []] for argv in commands]
+
+
+def test_deferred_scipy_imports_resolve_on_first_call():
+    """A fresh process's first beta and CLT answers match this process's, field for field."""
+    first = _fresh_interpreter("""
+import dataclasses, json
+from wignerlab import clt_probability, two_block_exact
+print(json.dumps([dataclasses.astuple(two_block_exact(8, 1)),
+                  dataclasses.astuple(clt_probability(1.0))]))
+""")
+    here = [oracles.two_block_exact(8, 1), oracles.clt_probability(1.0)]
+    assert [tuple(result) for result in first] == [dataclasses.astuple(r) for r in here]
+    assert [r.method for r in here] == ["beta-closed-form", "clt-quadrature"]
