@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .kernels import KernelSpectrum, _integer, master_residuals, moments
+from .kernels import KernelSpectrum, _integer, _real, master_residuals, moments
 from .montecarlo import (
     METHODS,
     KernelSelector,
@@ -257,12 +257,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    chosen = [bool(args.limit), args.clt is not None,
-              args.two_block is not None or args.random_seed is not None]
-    if sum(chosen) != 1:
+    family = args.two_block is not None or args.random_seed is not None
+    if sum([bool(args.limit), args.clt is not None, family]) != 1:
         raise ValueError("choose exactly one of --limit, --clt T, or a kernel family with --n")
-    if not args.tol > 0.0:
-        raise ValueError(f"tol must be positive, got {args.tol!r}")
+    if not family and (args.n is not None or args.cf):
+        raise ValueError("--n and --cf apply only to a kernel family")
+    _real(args.tol, "tol", finite=False)
     if args.limit:
         result = limit_quantumness()
     elif args.clt is not None:

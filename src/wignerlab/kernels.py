@@ -21,6 +21,7 @@ multiplicities, label)``, a frozen dataclass compared by identity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,20 @@ def _integer(value, name: str, low: int, high: int | None = None) -> int:
     if not (ok and low <= number and (high is None or number <= high)):
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return number
+
+
+def _real(value, name: str, *, strict: bool = True, finite: bool = True) -> float:
+    """``value`` as a float if it is a real number > 0 (``strict``, else >= 0), finite
+    unless ``finite`` is False, else ValueError; bools, strings, None and NaN fail."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    try:
+        number = float(value) if ok else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.nan
+    if not ((number > 0.0 if strict else number >= 0.0) and (number < math.inf or not finite)):
+        rule = ("positive" if strict else ">= 0") + (" and finite" if finite else "")
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
     return number
 
 

@@ -1,5 +1,9 @@
 """Seeded Monte Carlo estimation of negativity probabilities.
 
+Each estimator checks its inputs and hands one draw, ``draw(m, rng)``
+returning m values whose negatives are counted, to ``_estimate``: the one
+loop over chunks and worker threads, ending in the Wilson interval.
+
 Stream discipline: trials are split into fixed chunks of 2**16 samples;
 chunk i draws from the child stream ``_child_rng(seed, i)`` and the
 reduction is an integer sum of per-chunk negative counts.  Counts
@@ -29,12 +33,11 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
-from .kernels import KernelSpectrum, _integer, random_spectrum, two_block_spectrum
-from .sampling import gamma_batch, ginibre_batch, haar_batch
+from .kernels import KernelSpectrum, _integer, _real, random_spectrum, two_block_spectrum
+from .sampling import gamma_batch, ginibre_batch, haar_batch, wigner_value
 
 __all__ = [
     "CHUNK",
@@ -78,31 +81,6 @@ def _derive_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(entropy=entropy).generate_state(1, np.uint64)[0])
 
 
-def _chunks(trials: int) -> list[tuple[int, int]]:
-    full, rem = divmod(trials, CHUNK)
-    sizes = [CHUNK] * full + ([rem] if rem else [])
-    return list(enumerate(sizes))
-
-
-def _count(seed: int, row_floats: int, values, chunk: tuple[int, int]) -> int:
-    """Negative count of one chunk; ``values(m, rng)`` draws and reduces m samples."""
-    index, size = chunk
-    rng = _child_rng(seed, index)
-    rows = max(1, _BUDGET // row_floats)
-    negatives = 0
-    for done in range(0, size, rows):
-        negatives += int(np.count_nonzero(values(min(rows, size - done), rng) < 0.0))
-    return negatives
-
-
-def _map_reduce(count, chunks: list[tuple[int, int]], workers: int) -> int:
-    workers = min(workers, len(chunks), os.cpu_count() or 1)
-    if workers == 1:
-        return sum(map(count, chunks))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(count, chunks))
-
-
 def wilson_interval(negatives: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
@@ -124,8 +102,7 @@ def wilson_interval(negatives: int, trials: int, z: float = 1.96) -> tuple[float
     """
     trials = _integer(trials, "trials", 1)
     negatives = _integer(negatives, "negatives", 0, trials)
-    if not (math.isfinite(z) and z > 0.0):
-        raise ValueError(f"z must be positive and finite, got {z!r}")
+    z = _real(z, "z")
     p = negatives / trials
     zz = z * z
     denom = 1.0 + zz / trials
@@ -169,14 +146,38 @@ def _check_run(trials: int, seed: int, workers: int, z: float,
     argument is usable, z as in wilson_interval and method one of ``METHODS``."""
     counts = (_integer(trials, "trials", 1), _integer(seed, "seed", 0, _SEED_MAX),
               _integer(workers, "workers", 1))
-    if not (math.isfinite(z) and z > 0.0):
-        raise ValueError(f"z must be positive and finite, got {z!r}")
+    _real(z, "z")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     return counts
 
 
-def _finish(trials: int, negatives: int, seed: int, method: str, z: float) -> NegativityEstimate:
+def _estimate(trials: int, seed: int, workers: int, z: float, method: str, row_floats: int,
+              draw) -> NegativityEstimate:
+    """Count the negatives of ``trials`` values of ``draw(m, rng)``, m values drawn from
+    ``rng``, and wrap the count as a NegativityEstimate with its Wilson interval.
+
+    Chunk i of ``CHUNK`` values draws from ``_child_rng(seed, i)``, in sub-batches of
+    ``_BUDGET // row_floats`` values; ``row_floats`` is the float64 count of one value's
+    draw.  The run arguments are already checked.
+    """
+    def count(chunk: tuple[int, int]) -> int:
+        index, size = chunk
+        rng = _child_rng(seed, index)
+        rows = max(1, _BUDGET // row_floats)
+        negatives = 0
+        for done in range(0, size, rows):
+            negatives += int(np.count_nonzero(draw(min(rows, size - done), rng) < 0.0))
+        return negatives
+
+    full, rem = divmod(trials, CHUNK)
+    chunks = list(enumerate([CHUNK] * full + ([rem] if rem else [])))
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    if workers == 1:
+        negatives = sum(map(count, chunks))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            negatives = sum(pool.map(count, chunks))
     low, high = wilson_interval(negatives, trials, z)
     return NegativityEstimate(trials=trials, negatives=negatives, p_hat=negatives / trials,
                               ci_low=low, ci_high=high, seed=seed, method=method)
@@ -184,12 +185,12 @@ def _finish(trials: int, negatives: int, seed: int, method: str, z: float) -> Ne
 
 def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
                     method: str = METHODS[0], workers: int = 1, *,
-                    z: float = 1.96, phase_point: np.ndarray | None = None) -> NegativityEstimate:
+                    z: float = 1.96) -> NegativityEstimate:
     """Estimate the probability that a random state has a negative Wigner value.
 
     Samples Hilbert-Schmidt-random states and counts negative Wigner values
-    at a fixed phase-space point (the identity unless ``phase_point`` says
-    otherwise; the result is point-independent either way).
+    at the identity phase-space point; the law, and so the result, is the same
+    at every point.
 
     Parameters
     ----------
@@ -210,9 +211,6 @@ def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
         CPU count.  Counts do not depend on it.
     z : float
         Normal quantile for the Wilson interval.
-    phase_point : ndarray, optional
-        Unitary matrix to evaluate at instead of the identity; requires
-        ``method="full-ginibre"``.
 
     Returns
     -------
@@ -220,35 +218,20 @@ def estimate_global(spectrum: KernelSpectrum, trials: int, seed: int,
     """
     spectrum.validate()
     trials, seed, workers = _check_run(trials, seed, workers, z, method)
-    n = spectrum.dimension
-    point = None
-    if phase_point is not None:
-        if method != "full-ginibre":
-            raise ValueError("a custom phase-space point requires method='full-ginibre'")
-        point = np.ascontiguousarray(phase_point, dtype=complex)
-        if point.shape != (n, n):
-            raise ValueError(f"phase point shape {point.shape} does not match N={n}")
-        if not np.abs(point.conj().T @ point - np.eye(n)).max() <= 1e-10:
-            raise ValueError("phase point is not unitary within 1e-10")
-
-    values, shapes = spectrum.values, spectrum.shapes
-
-    def fast_gamma(m: int, rng: np.random.Generator) -> np.ndarray:
-        return gamma_batch(m, shapes, rng) @ values
-
-    def full_ginibre(m: int, rng: np.random.Generator) -> np.ndarray:
-        z = ginibre_batch(m, n, rng)
-        if point is not None:
-            z = z @ point
-        return (z.real**2 + z.imag**2).sum(axis=1) @ weights
-
+    n, values = spectrum.dimension, spectrum.values
     if method == "fast-gamma":
-        count = partial(_count, seed, values.size, fast_gamma)
+        shapes, row_floats = spectrum.shapes, values.size
+
+        def draw(m: int, rng: np.random.Generator) -> np.ndarray:
+            return gamma_batch(m, shapes, rng) @ values
     else:
-        weights = spectrum.expanded()  # only this path reduces over all N eigenvalues
-        count = partial(_count, seed, 2 * n * n, full_ginibre)
-    negatives = _map_reduce(count, _chunks(trials), workers)
-    return _finish(trials, negatives, seed, method, z)
+        # the column energies of z: N^2 work a sample, where the state z^dagger z costs N^3
+        weights, row_floats = spectrum.expanded(), 2 * n * n
+
+        def draw(m: int, rng: np.random.Generator) -> np.ndarray:
+            g = ginibre_batch(m, n, rng)
+            return (g.real**2 + g.imag**2).sum(axis=1) @ weights
+    return _estimate(trials, seed, workers, z, method, row_floats, draw)
 
 
 def check_state(rho: np.ndarray, n: int) -> np.ndarray:
@@ -277,22 +260,19 @@ def estimate_state(rho: np.ndarray, spectrum: KernelSpectrum, trials: int, seed:
                    workers: int = 1, *, z: float = 1.96) -> NegativityEstimate:
     """Estimate the phase-space volume fraction where a state's Wigner value is negative.
 
-    Draws Haar-random unitaries U and counts tr(rho U P U^dagger) < 0.
+    Draws Haar-random unitaries U and counts the negative symbols
+    tr(rho U P U^dagger), each stack evaluated by :func:`wigner_value`.
     ``rho`` must pass :func:`check_state` at the kernel's dimension.
     """
     spectrum.validate()
     trials, seed, workers = _check_run(trials, seed, workers, z)
     n = spectrum.dimension
     rho = check_state(rho, n)
-    weights = spectrum.expanded()
-
-    def haar_point(m: int, rng: np.random.Generator) -> np.ndarray:
-        u = haar_batch(m, n, rng)
-        # diagonal of U^dagger rho U, batched, dotted with the eigenvalues
-        return ((u.conj() * (rho @ u)).sum(axis=1) @ weights).real
-
-    negatives = _map_reduce(partial(_count, seed, 2 * n * n, haar_point), _chunks(trials), workers)
-    return _finish(trials, negatives, seed, "haar-phase-point", z)
+    # the Hermitian part: rho itself when exactly Hermitian, and real symbols when only
+    # Hermitian within check_state's 1e-12
+    rho = (rho + rho.conj().T) / 2.0
+    return _estimate(trials, seed, workers, z, "haar-phase-point", 2 * n * n,
+                     lambda m, rng: wigner_value(rho, spectrum, haar_batch(m, n, rng)))
 
 
 @dataclass(frozen=True)

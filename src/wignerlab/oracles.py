@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpectrum, _two_block
+from .kernels import KernelSpectrum, _real, _two_block
 
 __all__ = [
     "OracleResult",
@@ -131,7 +131,7 @@ def negative_probability(weights, shapes, tol: float = 1e-10) -> OracleResult:
         If the CF error bound exceeds ``tol``: for two weights, only once the
         beta bound has exceeded it too.
     """
-    w, s = _checked(weights, shapes, tol)
+    w, s, tol = _checked(weights, shapes, tol)
     if w.size == 2:
         from scipy.special import betaincc, betaln
 
@@ -145,7 +145,7 @@ def negative_probability(weights, shapes, tol: float = 1e-10) -> OracleResult:
     return _cf_inversion(w, s, tol)
 
 
-def _checked(weights, shapes, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _checked(weights, shapes, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
     w = np.asarray(weights, dtype=float)
     s = np.asarray(shapes, dtype=float)
     if w.ndim != 1 or w.shape != s.shape:
@@ -155,9 +155,7 @@ def _checked(weights, shapes, tol: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("weights must be finite with at least one of each sign")
     if not 0.0 < s.min() <= s.max() < math.inf:
         raise ValueError("shapes must be finite and positive")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    return w, s
+    return w, s, _real(tol, "tol", finite=False)
 
 
 def two_block_exact(n_levels: int, k: int, tol: float = 1e-10) -> OracleResult:
@@ -207,7 +205,7 @@ def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleRe
     raised when the sum of the bounds exceeds ``tol``.
     """
     spectrum.validate()
-    return _cf_inversion(*_checked(spectrum.values, spectrum.shapes, tol), tol)
+    return _cf_inversion(*_checked(spectrum.values, spectrum.shapes, tol))
 
 
 def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> OracleResult:
@@ -312,10 +310,7 @@ def clt_probability(t: float, tol: float = 1e-9) -> OracleResult:
     OracleResult
         method ``"clt-quadrature"``.
     """
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    t, tol = _real(t, "t", strict=False), _real(tol, "tol", finite=False)
     # scipy.special and scipy.integrate take most of a cold start; like the beta form's
     # scipy.special, they load on first use, so the CF and limit routes run without scipy
     from scipy.integrate import quad

@@ -87,22 +87,23 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return haar_batch(1, _integer(n, "N", 1), rng)[0]
 
 
-def wigner_value(rho: np.ndarray, spectrum: KernelSpectrum, unitary: np.ndarray) -> float:
+def wigner_value(rho: np.ndarray, spectrum: KernelSpectrum, unitary: np.ndarray):
     """Wigner-type symbol of the state `rho` at the phase-space point `unitary`.
 
     Evaluates tr(rho U P U^dagger) with P the diagonal matrix of the kernel
-    eigenvalues in decreasing order.  The result is real for Hermitian rho;
-    an imaginary residue beyond 1e-10 raises.
+    eigenvalues in decreasing order.  States and points may be stacks along
+    leading axes, which broadcast against each other: a stack gives an array of
+    real symbols, a single state at a single point a float.  The symbol is real
+    for Hermitian rho; an imaginary residue beyond 1e-10 raises.
     """
-    rho = np.asarray(rho)
-    unitary = np.asarray(unitary)
-    n = spectrum.dimension
-    if rho.shape != (n, n) or unitary.shape != (n, n):
+    rho, unitary, n = np.asarray(rho), np.asarray(unitary), spectrum.dimension
+    if rho.shape[-2:] != (n, n) or unitary.shape[-2:] != (n, n):
         raise ValueError(
             f"dimension mismatch: state {rho.shape}, point {unitary.shape}, kernel N={n}"
         )
-    p = spectrum.expanded()
-    value = complex(np.einsum("ij,jk,k,ik->", rho, unitary, p, unitary.conj()))
-    if abs(value.imag) > 1e-10:
-        raise ValueError(f"imaginary residue {value.imag:.3e} exceeds 1e-10; state not Hermitian?")
-    return value.real
+    # the diagonal of U^dagger rho U, dotted with the eigenvalues
+    value = (unitary.conj() * (rho @ unitary)).sum(axis=-2) @ spectrum.expanded()
+    residue = np.abs(value.imag).max(initial=0.0)
+    if residue > 1e-10:
+        raise ValueError(f"imaginary residue {residue:.3e} exceeds 1e-10; state not Hermitian?")
+    return float(value.real) if value.ndim == 0 else value.real

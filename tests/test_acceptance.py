@@ -13,6 +13,7 @@ from wignerlab.montecarlo import (
     estimate_global,
     estimate_state,
     run_sweep,
+    wilson_interval,
 )
 from wignerlab.oracles import (
     cf_inversion_exact,
@@ -20,7 +21,7 @@ from wignerlab.oracles import (
     limit_quantumness,
     two_block_exact,
 )
-from wignerlab.sampling import haar_unitary
+from wignerlab.sampling import ginibre_batch, haar_unitary, wigner_value
 
 LIMIT = 0.15865525393145705
 
@@ -134,16 +135,22 @@ def test_08_normal_reduction_constant_in_t():
 
 
 def test_09_phase_space_point_independence():
+    """The share of 1e5 Hilbert-Schmidt states with a negative symbol is the
+    same at the identity and at a Haar-random point (overlapping 3-sigma bands)."""
     spec = two_block_spectrum(4, 1)
     u0 = haar_unitary(4, np.random.default_rng(7))
-    at_identity = estimate_global(spec, 10**5, 501, method="full-ginibre", z=3.0)
-    at_u0 = estimate_global(spec, 10**5, 502, method="full-ginibre", z=3.0, phase_point=u0)
-    ok = _overlap(at_identity, at_u0)
+    bands = []
+    for seed, point in ((501, np.eye(4)), (502, u0)):
+        z = ginibre_batch(10**5, 4, np.random.default_rng(seed))
+        states = z.conj().swapaxes(-1, -2) @ z
+        states /= np.trace(states, axis1=-2, axis2=-1).real[:, None, None]
+        negatives = int(np.count_nonzero(wigner_value(states, spec, point) < 0))
+        bands.append((negatives / 10**5, *wilson_interval(negatives, 10**5, 3.0)))
+    (p_id, lo_id, hi_id), (p_u0, lo_u0, hi_u0) = bands
+    ok = lo_id <= hi_u0 and lo_u0 <= hi_id
     _verdict("point independence", ok,
-             f"identity p_hat={at_identity.p_hat:.5f} "
-             f"band=({at_identity.ci_low:.5f}, {at_identity.ci_high:.5f}); "
-             f"rotated p_hat={at_u0.p_hat:.5f} "
-             f"band=({at_u0.ci_low:.5f}, {at_u0.ci_high:.5f})")
+             f"identity p_hat={p_id:.5f} band=({lo_id:.5f}, {hi_id:.5f}); "
+             f"rotated p_hat={p_u0:.5f} band=({lo_u0:.5f}, {hi_u0:.5f})")
 
 
 def test_10_per_state_measure():

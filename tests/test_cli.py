@@ -397,6 +397,9 @@ class TestOracleCommand:
         assert run_cli(capsys, "oracle", "--limit", "--clt", "1.0")[0] == 2
         assert run_cli(capsys, "oracle")[0] == 2
         assert run_cli(capsys, "oracle", "--two-block", "1")[0] == 2  # missing --n
+        for argv in (["--limit", "--n", "5", "--cf"], ["--clt", "1", "--cf", "--n", "3"]):
+            code, out, err = run_cli(capsys, "oracle", *argv)
+            assert (code, out) == (2, "") and "kernel family" in err
 
     def test_pretty_format(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--limit", "--format", "pretty")

@@ -365,8 +365,14 @@ class TestCltQuadrature:
     lambda: clt_probability(1.0, tol=math.nan),
     lambda: cf_inversion_exact(two_block_spectrum(2, 1), tol=math.nan),
     lambda: cf_inversion_exact(KernelSpectrum(2, [math.nan], [2])),
+    lambda: negative_probability((1.0, -1.0), (1.0, 1.0), tol=None),
+    lambda: negative_probability((1.0, -1.0), (1.0, 1.0), tol="1e-10"),
+    lambda: clt_probability("1"),
+    lambda: clt_probability(True),
+    lambda: clt_probability(1.0, tol=None),
 ])
 def test_nan_inputs_rejected(call):
+    """NaN, and for tol and t any non-number, bools among them, raise ValueError."""
     with pytest.raises(ValueError):
         call()
 

@@ -1,7 +1,10 @@
+import ast
 import dataclasses
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import wignerlab
 from wignerlab import kernels, montecarlo, oracles, sampling
@@ -56,3 +59,36 @@ print(json.dumps([dataclasses.astuple(two_block_exact(8, 1)),
     here = [oracles.two_block_exact(8, 1), oracles.clt_probability(1.0)]
     assert [tuple(result) for result in first] == [dataclasses.astuple(r) for r in here]
     assert [r.method for r in here] == ["beta-closed-form", "clt-quadrature"]
+
+
+def _resolve(dotted: str, attr: str | None = None) -> bool:
+    """Whether ``dotted`` names a wignerlab module, or one of its attributes, or
+    a submodule of the package: ``attr`` read from that module."""
+    module = importlib.import_module(dotted)
+    if attr is None or hasattr(module, attr):
+        return True
+    try:
+        importlib.import_module(f"{dotted}.{attr}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_benchmark_names_resolve():
+    """Every wignerlab name the benchmark imports, or patches with ``tracer.wrap``,
+    exists; the benchmark's sources are only read."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    needed = []
+    for source in ("run.py", "workloads.py"):
+        for node in ast.walk(ast.parse((bench / source).read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("wignerlab"):
+                needed += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                needed += [(a.name, None) for a in node.names if a.name.startswith("wignerlab")]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "wrap"):
+                module, attr = node.args[:2]
+                needed.append((ast.unparse(module), attr.value))
+    assert ("wignerlab", "row_energies_batch") in needed
+    assert ("wignerlab.montecarlo", "estimate_global") in needed
+    assert [pair for pair in needed if not _resolve(*pair)] == []

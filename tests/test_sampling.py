@@ -104,16 +104,13 @@ class TestRowEnergies:
         """The fast path draws the state's diagonal reduction directly; its
         negativity frequency must match Wigner values computed from actual
         Hilbert-Schmidt samples (two 1e5-sample runs, overlapping 3-sigma
-        Wilson intervals)."""
+        Wilson intervals).  The states are left unnormalized: a positive
+        trace does not change the sign."""
         spec = two_block_spectrum(2, 1)
         fast = estimate_global(spec, 10**5, 5, z=3.0)
-        rng = np.random.default_rng(6)
-        eye = np.eye(2)
-        negatives = 0
-        for _ in range(10**5):
-            rho = hs_state(sample_ginibre(2, rng))
-            if wigner_value(rho, spec, eye) < 0:
-                negatives += 1
+        z = ginibre_batch(10**5, 2, np.random.default_rng(6))
+        states = z.conj().swapaxes(-1, -2) @ z
+        negatives = int(np.count_nonzero(wigner_value(states, spec, np.eye(2)) < 0))
         full_band = wilson_interval(negatives, 10**5, 3.0)
         assert _intervals_overlap((fast.ci_low, fast.ci_high), full_band)
 
@@ -164,6 +161,20 @@ class TestWignerValue:
         w1 = wigner_value(rho, spec, u)
         w2 = wigner_value(g @ rho @ g.conj().T, spec, g @ u)
         assert w1 == pytest.approx(w2, abs=1e-10)
+
+    def test_stacks_broadcast(self):
+        """Stacks of states and of points broadcast to the traces tr(rho U P U^dagger)."""
+        rng = np.random.default_rng(12)
+        spec = two_block_spectrum(3, 1)
+        states = np.stack([hs_state(sample_ginibre(3, rng)) for _ in range(4)])
+        points = haar_batch(5, 3, rng)
+        p = np.diag(spec.expanded())
+        traces = np.array([[np.trace(r @ u @ p @ u.conj().T).real for u in points] for r in states])
+        assert wigner_value(states[:, None], spec, points).shape == (4, 5)
+        assert np.allclose(wigner_value(states[:, None], spec, points), traces, atol=1e-12)
+        assert np.allclose(wigner_value(states[0], spec, points), traces[0], atol=1e-12)
+        assert np.allclose(wigner_value(states, spec, points[0]), traces[:, 0], atol=1e-12)
+        assert type(wigner_value(states[0], spec, points[0])) is float
 
     def test_dimension_mismatch(self):
         spec = two_block_spectrum(3, 1)
