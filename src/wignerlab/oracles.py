@@ -11,10 +11,10 @@ tolerance included, to characteristic-function inversion;
 ends.  A quadrature for the large-N normal reduction and the limit constant
 itself complete the set.
 
-Only the beta form (scipy.special) and the normal-reduction quadrature
-(scipy.special and scipy.integrate) use scipy, and they import it on first
-call; the CF inversion runs on numpy and the limit on the math module, so
-importing the package loads no scipy module.
+Only the beta form uses scipy: it imports scipy.special on first call.  The
+CF inversion and the normal-reduction quadrature run on numpy and the math
+module's erfc, and the limit on the math module, so importing the package
+loads no scipy module and no route loads scipy.integrate.
 
 The CF inversion is Davies' half-offset trapezoid rule (Davies 1973,
 Biometrika 60; Algorithm AS 155, 1980) on the unit-variance variable
@@ -58,6 +58,43 @@ _BLOCK_ELEMENTS = 1 << 14
 # alone is checked, only once the first scan falls short, and before any node past
 # that scan is evaluated
 _MAX_NODES = 1 << 18
+
+# the CLT quadrature's half window in y, the widest first panel (twice the density's
+# scale), and the panel cap (scipy quad's limit=400)
+_WINDOW = 13.0
+_FIRST_WIDTH = 2.0
+_MAX_PANELS = 400
+
+# Phi(x) phi(y) is this times erfc(-x / sqrt 2) exp(-y^2 / 2)
+_HALF_DENSITY = 0.5 / math.sqrt(2.0 * math.pi)
+
+# QUADPACK's 21-point Kronrod abscissae on [-1, 1] from the left end to the centre,
+# the 10-point Gauss abscissae at the odd positions, and both weight sets
+# (Piessens et al. 1983, dqk21)
+_KRONROD_HALF = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0])
+_KRONROD_HALF_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077500307581125, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_GAUSS_HALF_WEIGHTS = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_KRONROD_NODES = np.concatenate((-_KRONROD_HALF, _KRONROD_HALF[-2::-1]))
+_KRONROD_WEIGHTS = np.concatenate((_KRONROD_HALF_WEIGHTS, _KRONROD_HALF_WEIGHTS[-2::-1]))
+_GAUSS_WEIGHTS = np.zeros(21)
+_GAUSS_WEIGHTS[1::2] = np.concatenate((_GAUSS_HALF_WEIGHTS, _GAUSS_HALF_WEIGHTS[::-1]))
+_RULE = np.stack((_KRONROD_WEIGHTS, _KRONROD_WEIGHTS - _GAUSS_WEIGHTS), axis=1)
+# a node lo (1 - x)/2 + hi (1 + x)/2 of the panel [lo, hi] from those two weights
+_FROM_LO, _FROM_HI = 0.5 * (1.0 - _KRONROD_NODES), 0.5 * (1.0 + _KRONROD_NODES)
 
 
 class ConvergenceError(RuntimeError):
@@ -292,11 +329,31 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
 def clt_probability(t: float, tol: float = 1e-9) -> OracleResult:
     """Normal-reduction probability P(t), constant in t by construction.
 
-    Evaluates integral of Phi(y*t - sqrt(t^2 + 1)) * phi(y) dy over the
+    Evaluates integral of Phi(y*t - hypot(t, 1)) * phi(y) dy over the
     real line (Phi, phi the standard normal CDF and density), truncated to
     |y| <= 13 where the density is below 1e-37.  The value equals
     1 - Phi(1) for every t >= 0; evaluating the integral rather than the
     constant is the point, as the constancy is what the quadrature checks.
+
+    The rule is QUADPACK's adaptive 21-point Gauss-Kronrod pair (Piessens et
+    al. 1983, dqk21), vectorised over panels.  A panel's error estimate is
+    QUADPACK's: resasc * min(1, (200 |K21 - G10| / resasc)^1.5), and at least
+    50 eps times its integral, resasc being the K21 integral of |f - mean f|.
+    Each round evaluates every new panel in one array pass; while the errors
+    sum to more than tol/10, every panel whose error exceeds an equal share of
+    tol/10 is halved.  ConvergenceError is raised when that would pass 400
+    panels, or when the error bound, the quadrature error plus 1e-15 for
+    truncation and roundoff, exceeds ``tol``.
+
+    For large t the CDF factor switches on over a width 1/t around the
+    crossing y0 = hypot(t, 1)/t.  The panels are laid as offsets d from y0,
+    with edges at the crossing and, within unit distance of it, 2, 8 and 40
+    widths to either side, so the rule resolves the switch however narrow it
+    is; the CDF argument t*d + (t*y0 - hypot(t, 1)) keeps its digits at every
+    t up to the largest float.  Where the crossing lies outside the window
+    (t < 0.078), the offsets are taken from y = 0 and no edges are added.
+    Between the edges the first panels are at most 2 wide, twice the density's
+    scale, so at most t one round of 13 to 19 panels meets the default tol.
 
     Parameters
     ----------
@@ -311,25 +368,47 @@ def clt_probability(t: float, tol: float = 1e-9) -> OracleResult:
         method ``"clt-quadrature"``.
     """
     t, tol = _real(t, "t", strict=False), _real(tol, "tol", finite=False)
-    # scipy.special and scipy.integrate take most of a cold start; like the beta form's
-    # scipy.special, they load on first use, so the CF and limit routes run without scipy
-    from scipy.integrate import quad
-    from scipy.special import ndtr
+    shift = math.hypot(t, 1.0)
+    centre = shift / t if shift < _WINDOW * t else 0.0  # the crossing, if in the window
+    offset = t * centre - shift
+    # the window's ends, the crossing and, within unit distance of it, 2, 8 and 40 widths
+    # to either side, as offsets from the crossing
+    edges = [-_WINDOW - centre, *(d / t for d in (-40.0, -8.0, -2.0, 0.0, 2.0, 8.0, 40.0)
+                                  if centre and abs(d) <= t and abs(centre + d / t) < _WINDOW),
+             _WINDOW - centre]
+    # first panels at most _FIRST_WIDTH wide between those edges
+    starts = []
+    for a, b in zip(edges, edges[1:]):
+        pieces = math.ceil((b - a) / _FIRST_WIDTH)
+        starts += [a + (b - a) * i / pieces for i in range(pieces)]
+    lo = np.array(starts)
+    hi = np.append(lo[1:], edges[-1])
+    slope, intercept = -t * math.sqrt(0.5), -offset * math.sqrt(0.5)
 
-    shift = math.sqrt(t * t + 1.0)
+    def integrand(d: np.ndarray) -> np.ndarray:
+        """Phi(t d + offset) phi(centre + d), with Phi(x) = erfc(-x / sqrt 2) / 2."""
+        x = d * slope + intercept  # overflows only where erfc is 0 or 2
+        y = d + centre
+        erfc = np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
+        return erfc * np.exp(y * y * -0.5) * _HALF_DENSITY
 
-    def integrand(y: float) -> float:
-        return float(ndtr(y * t - shift)) * math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
-
-    window = 13.0
-    # for large t the CDF factor switches on over a width ~1/t around y = shift/t;
-    # hand quad the crossing and, within unit distance of it, panel edges 2, 8 and
-    # 40 widths to either side, so the adaptive panels resolve it however narrow it is
-    points = [(shift + d) / t for d in (-40.0, -8.0, -2.0, 0.0, 2.0, 8.0, 40.0)
-              if abs(d) <= t and abs(shift + d) < window * t] or None
-    integral, quad_err = quad(integrand, -window, window,
-                              points=points, limit=400, epsabs=tol * 0.1, epsrel=1e-12)
-    est_err = quad_err + 1e-15  # quadrature + truncation (< 1e-37) + roundoff slack
+    target = 0.1 * tol
+    value, error = _gauss_kronrod(integrand, lo, hi)
+    while not (total := float(error.sum())) <= target:
+        keep = error <= target / error.size  # a NaN error is split, and so meets the cap
+        split = ~keep
+        mid = 0.5 * (lo[split] + hi[split])
+        if np.count_nonzero(keep) + 2 * mid.size > _MAX_PANELS:
+            raise ConvergenceError(
+                f"quadrature error {total:.3e} over {error.size} panels cannot reach "
+                f"tol {tol:.3e} within {_MAX_PANELS} panels at t={t!r}")
+        new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+        new_value, new_error = _gauss_kronrod(integrand, new_lo, new_hi)
+        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
+        value = np.concatenate((value[keep], new_value))
+        error = np.concatenate((error[keep], new_error))
+    integral = float(value.sum())
+    est_err = total + 1e-15  # quadrature + truncation (< 1e-37) + roundoff slack
     if not est_err <= tol:
         raise ConvergenceError(f"quadrature error {est_err:.3e} exceeds tol {tol:.3e} at t={t!r}")
     return OracleResult(
@@ -337,3 +416,20 @@ def clt_probability(t: float, tol: float = 1e-9) -> OracleResult:
         method="clt-quadrature",
         estimated_abs_error=est_err,
     )
+
+
+def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K21 integrals of a non-negative ``f`` over the panels [lo, hi] and QUADPACK's
+    error estimates, from one evaluation of ``f`` on a (panels x 21) node array."""
+    # f may overflow on the way to a value it saturates at (t d of the CLT integrand)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fx = f(lo[:, None] * _FROM_LO + hi[:, None] * _FROM_HI)
+        kronrod, gauss_gap = (fx @ _RULE).T  # K21, and K21 - G10
+        resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD_WEIGHTS
+        # where resasc is 0, f is constant on the panel: the ratio is NaN or inf, its
+        # product NaN or 0, and fmax keeps the roundoff floor; f >= 0, so the K21
+        # integral of |f| is the integral itself
+        error = np.fmax(resasc * np.minimum(1.0, (200.0 * np.abs(gauss_gap) / resasc) ** 1.5),
+                        50.0 * _EPS * kronrod)
+    half = 0.5 * (hi - lo)
+    return kronrod * half, error * half

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -341,16 +342,33 @@ class TestCltQuadrature:
     @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0])
     def test_constant_in_t(self, t):
         res = clt_probability(t)
-        assert res.value == pytest.approx(LIMIT, abs=1e-7)
+        assert abs(res.value - LIMIT) <= res.estimated_abs_error <= 1e-9
         assert res.method == "clt-quadrature"
 
     def test_extreme_t(self):
-        assert clt_probability(50.0).value == pytest.approx(LIMIT, abs=1e-6)
+        res = clt_probability(50.0)
+        assert abs(res.value - LIMIT) <= res.estimated_abs_error <= 1e-9
 
-    @pytest.mark.parametrize("t", [500.0, 1e3, 1e4, 1e6])
+    @pytest.mark.parametrize("t", [500.0, 1e3, 1e4, 1e6, 1e12, 1e15, 1e160, 1e300,
+                                   sys.float_info.max])
     def test_large_t_within_reported_bound(self, t):
+        """With sqrt(t*t + 1), t*t overflowed from t = 1.35e154 on and the value read 0.0
+        with a bound of 1e-15; at t = 1e15, y*t - sqrt(t^2 + 1) kept too few digits and
+        the quadrature raised.  The offset panels answer at both."""
         res = clt_probability(t)
-        assert abs(res.value - LIMIT) <= res.estimated_abs_error
+        assert abs(res.value - LIMIT) <= res.estimated_abs_error <= 1e-9
+
+    def test_gauss_kronrod_table(self):
+        """K21 integrates x^p on [-1, 1] exactly up to p = 31, G10 up to p = 19."""
+        nodes = oracles._KRONROD_NODES
+        for weights, degree in ((oracles._KRONROD_WEIGHTS, 31), (oracles._GAUSS_WEIGHTS, 19)):
+            assert weights.sum() == pytest.approx(2.0, abs=1e-15)
+            for p in range(degree + 2):
+                moment = 2.0 / (p + 1) if p % 2 == 0 else 0.0
+                exact = abs(weights @ nodes**p - moment) <= 1e-15
+                assert exact == (p <= degree), p
+        assert np.array_equal(nodes, -nodes[::-1]) and np.all(np.diff(nodes) > 0)
+        assert np.array_equal(oracles._GAUSS_WEIGHTS[::2], np.zeros(11))
 
     def test_rejects_negative_t(self):
         with pytest.raises(ValueError):
@@ -359,6 +377,43 @@ class TestCltQuadrature:
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(ConvergenceError):
             clt_probability(1.0, tol=1e-16)
+
+
+def _second_order(spectrum: KernelSpectrum) -> float:
+    """1 - Phi(1) - phi(1) (g2 - g1^2) / 12, the Edgeworth series of P_N at x = -1 to
+    second order, with g1 = 2 sum m pi^3 / N^2 and g2 = 6 sum m pi^4 / N^3.  The
+    trace constraints make E S / sigma(S) = 1, so the skewness term, a multiple of
+    He2(-1) = 0, vanishes, and the gap to the limit is O(1/N)."""
+    n, pi = spectrum.dimension, spectrum.values
+    m = spectrum.multiplicities.astype(float)
+    g1 = 2.0 * float(m @ pi**3) / n**2
+    g2 = 6.0 * float(m @ pi**4) / n**3
+    return LIMIT - math.exp(-0.5) / math.sqrt(2.0 * math.pi) * (g2 - g1 * g1) / 12.0
+
+
+class TestFiniteDimensionRate:
+    """The exact oracles approach 1 - Phi(1) at the rate the second-order term gives."""
+
+    @pytest.mark.parametrize("n", [2**e for e in range(6, 15)])
+    def test_single_negative_level(self, n):
+        """k = 1: the residual is O(N^-1.5), 0.026-0.029 times N^-1.5 here."""
+        res = two_block_exact(n, 1)
+        residual = res.value - _second_order(two_block_spectrum(n, 1))
+        assert 0.0 < residual * n**1.5 <= 0.03
+
+    @pytest.mark.parametrize("n", [2**e for e in range(3, 15)])
+    def test_balanced_blocks(self, n):
+        """k = N/2: the residual is within 0.05/N^3 and the oracle's bound."""
+        res = two_block_exact(n, n // 2)
+        residual = res.value - _second_order(two_block_spectrum(n, n // 2))
+        assert abs(residual) <= 0.05 / n**3 + res.estimated_abs_error
+
+    @pytest.mark.parametrize("n,seed", [(1024, 3), (1024, 17), (4096, 3), (4096, 17)])
+    def test_random_kernels(self, n, seed):
+        """About 10^5 times sharper at N = 4096 than the 4/N^2 band of the limit."""
+        spectrum = random_spectrum(n, np.random.default_rng(seed))
+        res = cf_inversion_exact(spectrum)
+        assert abs(res.value - _second_order(spectrum)) <= res.estimated_abs_error + 1.0 / n**3
 
 
 @pytest.mark.parametrize("call", [

@@ -30,8 +30,9 @@ def _fresh_interpreter(code: str):
 
 
 def test_import_and_scipy_free_commands_load_no_scipy():
-    """scipy loads only on the beta and CLT routes, so these commands start without it."""
+    """scipy loads only on the beta route, so these commands start without it."""
     commands = [["oracle", "--limit"], ["oracle", "--n", "64", "--random", "3"],
+                ["oracle", "--clt", "1"], ["oracle", "--clt", "5", "--tol", "1e-8"],
                 ["kernel", "--n", "8", "--two-block", "1"],
                 ["estimate", "--n", "8", "--two-block", "1", "--trials", "1000", "--seed", "1"]]
     loaded = _fresh_interpreter(f"""
@@ -49,7 +50,9 @@ print(json.dumps(loaded))
 
 
 def test_deferred_scipy_imports_resolve_on_first_call():
-    """A fresh process's first beta and CLT answers match this process's, field for field."""
+    """A fresh process's first beta answer, the one route that defers its scipy
+    import to the first call, matches this process's field for field, as does its
+    first CLT answer, which needs no scipy."""
     first = _fresh_interpreter("""
 import dataclasses, json
 from wignerlab import clt_probability, two_block_exact
@@ -59,6 +62,26 @@ print(json.dumps([dataclasses.astuple(two_block_exact(8, 1)),
     here = [oracles.two_block_exact(8, 1), oracles.clt_probability(1.0)]
     assert [tuple(result) for result in first] == [dataclasses.astuple(r) for r in here]
     assert [r.method for r in here] == ["beta-closed-form", "clt-quadrature"]
+
+
+def test_only_the_beta_route_loads_scipy():
+    """The CF, CLT and limit routes run without scipy; the beta call alone loads
+    scipy.special, and nothing loads scipy.integrate."""
+    loaded = _fresh_interpreter("""
+import json, sys
+from wignerlab import (cf_inversion_exact, clt_probability, limit_quantumness,
+                       two_block_exact, two_block_spectrum)
+calls = [("cf", lambda: cf_inversion_exact(two_block_spectrum(8, 1))),
+         ("clt", lambda: clt_probability(2.0)), ("limit", limit_quantumness),
+         ("beta", lambda: two_block_exact(8, 1)), ("clt again", lambda: clt_probability(5.0))]
+loaded = []
+for name, call in calls:
+    call()
+    loaded.append([name, "scipy.special" in sys.modules, "scipy.integrate" in sys.modules])
+print(json.dumps(loaded))
+""")
+    assert loaded == [["cf", False, False], ["clt", False, False], ["limit", False, False],
+                      ["beta", True, False], ["clt again", True, False]]
 
 
 def _resolve(dotted: str, attr: str | None = None) -> bool:
