@@ -21,13 +21,19 @@ Biometrika 60; Algorithm AS 155, 1980) on the unit-variance variable
 X = S / sigma, so its nodes are spaced alike at every N.  Its reported error
 is the sum of three explicit bounds: aliasing, from Bernstein tails of X;
 truncation, from the power-law envelope of the characteristic function; and
-roundoff, from the size of the phase sums.  Both exact routes agree with a
-40-digit binomial-sum reference up to N = 16384 within their reported bounds.
+roundoff, from the size of the phase sums.  A closed-form envelope of |phi|
+sizes its first scan of nodes, so that one scan finds the truncation point
+unless the tail is heavy.  Both exact routes agree with a 40-digit
+binomial-sum reference up to N = 16384 within their reported bounds.
+
+Each front end checks its inputs once, at its boundary, and the cores behind
+it check nothing again.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,17 +120,40 @@ class OracleResult:
         ``"clt-quadrature"``, ``"limit"``.
     estimated_abs_error : float
         Conservative bound on the absolute error of ``value``.
+    diagnostics : Mapping[str, float] or None
+        What the quadrature did, read-only; left out of equality and hashing.
+        The CF inversion gives ``sigma``, ``mean``, ``L``, ``K``, ``first_scan``
+        (its length in nodes), ``nodes`` (all evaluated, the cap probe
+        included), ``rounds`` (scans, the cap probe included) and the
+        ``aliasing``, ``truncation`` and ``roundoff`` bounds; the normal-reduction
+        quadrature gives ``panels`` and ``rounds``.  None for the other routes.
     """
 
     value: float
     method: str
     estimated_abs_error: float
+    diagnostics: Mapping[str, float] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"oracle value {self.value!r} outside [0, 1]")
         if not math.isfinite(self.estimated_abs_error) or self.estimated_abs_error < 0:
             raise ValueError("estimated_abs_error must be finite and >= 0")
+        if self.diagnostics is not None:
+            object.__setattr__(self, "diagnostics", _ReadOnlyDict(self.diagnostics))
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses changes, so that it still copies, pickles and serialises
+    as a dict; copies are rebuilt whole."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("oracle diagnostics are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 def limit_quantumness() -> OracleResult:
@@ -163,23 +192,13 @@ def negative_probability(weights, shapes, tol: float = 1e-10) -> OracleResult:
     Raises
     ------
     ValueError
-        If an input breaks these rules; NaN breaks every one.
+        If an input breaks these rules; NaN breaks every one.  This is the one
+        boundary check.
     ConvergenceError
         If the CF error bound exceeds ``tol``: for two weights, only once the
         beta bound has exceeded it too.
     """
-    w, s, tol = _checked(weights, shapes, tol)
-    if w.size == 2:
-        from scipy.special import betaincc, betaln
-
-        (wp, wn), (sp, sn) = (w, s) if w[0] > 0.0 else (w[::-1], s[::-1])
-        y = float(wp / (wp - wn))
-        log_pdf = (sn - 1.0) * math.log(y) + (sp - 1.0) * math.log1p(-y) - betaln(sn, sp)
-        bound = _BETA_ERROR + float(np.exp(log_pdf)) * 4.0 * _EPS * y
-        if bound <= tol:
-            value = float(betaincc(sn, sp, y))
-            return OracleResult(value=value, method="beta-closed-form", estimated_abs_error=bound)
-    return _cf_inversion(w, s, tol)
+    return _beta_else_cf(*_checked(weights, shapes, tol))
 
 
 def _checked(weights, shapes, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -195,6 +214,22 @@ def _checked(weights, shapes, tol: float) -> tuple[np.ndarray, np.ndarray, float
     return w, s, _real(tol, "tol", finite=False)
 
 
+def _beta_else_cf(w: np.ndarray, s: np.ndarray, tol: float) -> OracleResult:
+    """The core of :func:`negative_probability`, on inputs that pass its checks."""
+    if w.size == 2:
+        from scipy.special import betaincc, betaln
+
+        order = 1 if w[0] > 0.0 else -1  # Python floats from here: the same IEEE operations
+        (wp, wn), (sp, sn) = w.tolist()[::order], s.tolist()[::order]
+        y = wp / (wp - wn)
+        log_pdf = (sn - 1.0) * math.log(y) + (sp - 1.0) * math.log1p(-y) - betaln(sn, sp)
+        bound = _BETA_ERROR + float(np.exp(log_pdf)) * 4.0 * _EPS * y
+        if bound <= tol:
+            value = float(betaincc(sn, sp, y))
+            return OracleResult(value=value, method="beta-closed-form", estimated_abs_error=bound)
+    return _cf_inversion(w, s, tol)
+
+
 def two_block_exact(n_levels: int, k: int, tol: float = 1e-10) -> OracleResult:
     """Exact negativity probability for the two-block kernel (N, k), 1 <= k < N.
 
@@ -202,9 +237,13 @@ def two_block_exact(n_levels: int, k: int, tol: float = 1e-10) -> OracleResult:
     of multiplicities N-k and k give I_x(N(N-k), Nk) at x = r/(1+r), r = |b|/a.
     Where its bound exceeds ``tol`` (at k = N-1 for N >= 8192 and the default),
     the CF inversion answers instead, and raises if it cannot meet ``tol``.
+
+    The one boundary check is that of (N, k) and ``tol``; (a, b) are finite and
+    of opposite sign by construction.
     """
     n, k, a, b = _two_block(n_levels, k)
-    return negative_probability((a, b), (n * (n - k), n * k), tol)
+    return _beta_else_cf(np.array((a, b)), np.array((n * (n - k), n * k), dtype=float),
+                         _real(tol, "tol", finite=False))
 
 
 def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleResult:
@@ -233,26 +272,50 @@ def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleRe
     * roundoff, eps times the size of the summed terms, phase sums
       sum_j s_j |arctan z_j| included, times the rounding depth of the sums.
 
-    K is found in rounds of nodes.  The first scan covers the nodes a normal X
-    needs.  Should it fall short, the truncation bound at a fixed node cap is
+    K is the first node, scanned from 0, where the computed truncation bound
+    passes.  The first scan covers the nodes a normal X needs, or more where
+    a closed-form envelope of the truncation bound shows that these fall
+    short: with v_j = w_j / sigma and m^2 = max_j v_j^2, |phi(u)| is at most
+    (1 + m^2 u^2)^(-1/(2 m^2)) and gamma at least u^2 / (1 + m^2 u^2).  If the
+    envelope passes within 16 times the normal scan, the first scan runs to
+    its first passing node, which cannot come before K save by rounding, and
+    a single scan finds K for every input whose tail is not heavy.  Should
+    the first scan fall short, the truncation bound at a fixed node cap is
     checked once, before any node past that scan: ConvergenceError is raised
     if even the cap fails.  Each later round scans on to the node where the
     power law of the last failed node, (u_K / u)^gamma, reaches tol/4, at most
     16 times as many nodes as scanned so far.  ConvergenceError is also
-    raised when the sum of the bounds exceeds ``tol``.
+    raised when the sum of the bounds exceeds ``tol``.  The result's
+    ``diagnostics`` say what the scan did.
+
+    The one boundary check is :meth:`KernelSpectrum.validate` and that of
+    ``tol``: a valid spectrum has finite values, a negative last value, a
+    positive first one (they sum to 1 with their multiplicities) and positive
+    shapes.
     """
     spectrum.validate()
-    return _cf_inversion(*_checked(spectrum.values, spectrum.shapes, tol))
+    return _cf_inversion(spectrum.values, spectrum.shapes, _real(tol, "tol", finite=False))
+
+
+def _envelope(u: float, top2: float) -> float:
+    """Closed-form upper bound on the CF truncation bound |phi(u)| / (pi gamma(u)).
+
+    For weights w_j scaled so that sum_j s_j w_j^2 = 1, with top2 = max_j w_j^2:
+    log1p(x)/x and 1/(1 + x) fall in x, so |phi(u)| <= (1 + top2 u^2)^(-1/(2 top2))
+    and gamma(u) >= u^2 / (1 + top2 u^2).  It falls in u.
+    """
+    return (1.0 + top2 * u * u) ** (1.0 - 0.5 / top2) / (math.pi * u * u)
 
 
 def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> OracleResult:
     sigma = math.sqrt(float(shapes @ (weights * weights)))
     w = weights / sigma
     mean = float(shapes @ w)
+    top, bottom = float(w.max()), float(w.min())
     # each Bernstein tail of X - mean passes sqrt(2t) + scale*t with probability <= e^-t;
     # no probability needs a tolerance looser than 1
     t = math.log(8.0 / min(tol, 1.0))
-    half_width = math.sqrt(2.0 * t) + max(mean + w.max() * t, -mean - w.min() * t)
+    half_width = math.sqrt(2.0 * t) + max(mean + top * t, -mean - bottom * t)
     aliasing = 2.0 * math.exp(-t)
     step = 2.0 * math.pi / half_width
     target = tol / 4.0
@@ -284,16 +347,30 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
 
     per_block = max(1, _BLOCK_ELEMENTS // w.size)
 
-    # a normal X passes by u = sqrt(2 log(1/target)), where the first scan stops; its target
-    # is clamped like the aliasing term's, so u >= sqrt(2 log 4) and a node is scanned
+    # a normal X passes by u = sqrt(2 log(1/target)); that target is clamped like the
+    # aliasing term's, so u >= sqrt(2 log 4) and a node is scanned
     scan_to = math.sqrt(2.0 * math.log(4.0 / min(tol, 1.0)))
-    first_scan = stop = min(math.ceil(scan_to / step), _MAX_NODES)
+    stop = min(math.ceil(scan_to / step), _MAX_NODES)
+    # where the closed-form envelope still fails at the normal scan's last node but passes
+    # within 16x as many nodes, the first scan runs on to its first passing node; it bounds
+    # the computed one from above, so K passes no later, save by rounding, which costs a round
+    top2 = max(top * top, bottom * bottom)
+    reach = min(16 * stop, _MAX_NODES)
+    if not _envelope((stop - 0.5) * step, top2) <= target \
+            and _envelope((reach - 0.5) * step, top2) <= target:
+        while reach - stop > 1:
+            mid = (stop + reach) // 2
+            stop, reach = (stop, mid) if _envelope((mid - 0.5) * step, top2) <= target else (mid, reach)
+        stop = reach
+    first_scan = stop
     terms, sizes = [], []
-    first = 0
+    first = evaluated = 0
+    rounds = 1
     while True:
         term, rounding, tail, slope = nodes(first, min(first + per_block, stop))
         terms.append(term)
         sizes.append(rounding)
+        evaluated += term.size
         hit = (tail <= target).nonzero()[0]
         if hit.size:
             last = first + int(hit[0])
@@ -301,8 +378,10 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
             break
         first += term.size
         if first == stop:
-            if stop == first_scan:  # a heavier tail than normal
+            if stop == first_scan:  # a heavier tail than the first scan allowed for
                 cap = float(nodes(_MAX_NODES - 1, _MAX_NODES)[2][0])
+                evaluated += 1
+                rounds += 1
                 if not cap <= target:  # the envelope only falls, so no node up to the cap passes
                     raise failure(_MAX_NODES - 1, cap, math.nan)
             # the slope only grows, so past the failed node the bound falls at least as fast
@@ -310,6 +389,7 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
             power = min(math.log(float(tail[-1]) / target) / float(slope[-1]), 50.0)
             stop = min(max(math.ceil((first - 0.5) * math.exp(power) - 0.5), first) + 1,
                        16 * first, _MAX_NODES)
+            rounds += 1
     count = last + 1
     value = 0.5 - float(np.concatenate(terms)[:count].sum())
     # four roundings a phase term, one level a pairwise sum over weights and over nodes
@@ -323,6 +403,9 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
         value=min(max(value, 0.0), 1.0),
         method="cf-inversion",
         estimated_abs_error=est_err,
+        diagnostics={"sigma": sigma, "mean": mean, "L": half_width, "K": last,
+                     "first_scan": first_scan, "nodes": evaluated, "rounds": rounds,
+                     "aliasing": aliasing, "truncation": trunc, "roundoff": roundoff},
     )
 
 
@@ -341,9 +424,11 @@ def clt_probability(t: float, tol: float = 1e-9) -> OracleResult:
     50 eps times its integral, resasc being the K21 integral of |f - mean f|.
     Each round evaluates every new panel in one array pass; while the errors
     sum to more than tol/10, every panel whose error exceeds an equal share of
-    tol/10 is halved.  ConvergenceError is raised when that would pass 400
-    panels, or when the error bound, the quadrature error plus 1e-15 for
-    truncation and roundoff, exceeds ``tol``.
+    tol/10 is halved.  ConvergenceError is raised after the first round if
+    the roundoff floor, 50 eps times the integral, exceeds tol/10 (from
+    tol ~ 1.8e-14 down), when splitting would pass 400 panels, or when the
+    error bound, the quadrature error plus 1e-15 for truncation and roundoff,
+    exceeds ``tol``.
 
     For large t the CDF factor switches on over a width 1/t around the
     crossing y0 = hypot(t, 1)/t.  The panels are laid as offsets d from y0,
@@ -394,6 +479,12 @@ def clt_probability(t: float, tol: float = 1e-9) -> OracleResult:
 
     target = 0.1 * tol
     value, error = _gauss_kronrod(integrand, lo, hi)
+    # a panel's error is at least 50 eps times its integral, however it is split
+    floor = 50.0 * _EPS * float(np.abs(value).sum())
+    if floor > target:
+        raise ConvergenceError(f"tol {tol:.3e} is below the roundoff floor {10.0 * floor:.3e} "
+                               f"of the quadrature at t={t!r}")
+    rounds = 1
     while not (total := float(error.sum())) <= target:
         keep = error <= target / error.size  # a NaN error is split, and so meets the cap
         split = ~keep
@@ -407,6 +498,7 @@ def clt_probability(t: float, tol: float = 1e-9) -> OracleResult:
         lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
         value = np.concatenate((value[keep], new_value))
         error = np.concatenate((error[keep], new_error))
+        rounds += 1
     integral = float(value.sum())
     est_err = total + 1e-15  # quadrature + truncation (< 1e-37) + roundoff slack
     if not est_err <= tol:
@@ -415,6 +507,7 @@ def clt_probability(t: float, tol: float = 1e-9) -> OracleResult:
         value=min(max(integral, 0.0), 1.0),
         method="clt-quadrature",
         estimated_abs_error=est_err,
+        diagnostics={"panels": error.size, "rounds": rounds},
     )
 
 

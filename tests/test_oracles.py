@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import json
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -77,6 +81,9 @@ HEAVY_TAIL_PINS = {
     ((2.0, 0.7, -1.3), (1.0, 1.0, 1.0), 1e-8): ("0x1.0634c08e30235p-2", "0x1.5772c55a17b5bp-28"),
     ((3.0, 1.0, -0.5, -2.0), (0.5,) * 4, 1e-6): ("0x1.8b5f7db017bf4p-2", "0x1.0c659f910a82ap-21"),
 }
+
+# the two-block points of the benchmark's oracle grid: N = 2 ... 16384, k = 1 and N/2
+GRID_TWO_BLOCK = sorted({(2**e, k) for e in range(1, 15) for k in (1, 2**e // 2)})
 
 
 def _binomial_tail(p: int, q: int, x: Fraction) -> float:
@@ -178,6 +185,19 @@ class TestTwoBlockExact:
         with pytest.raises(ValueError):
             two_block_exact(n, k)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, None, "1e-10", True])
+    def test_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            two_block_exact(8, 1, tol)
+
+    def test_equals_core_on_the_kernel_weights(self):
+        """The front end checks only (N, k) and tol, then runs the core on (a, b)."""
+        rng = np.random.default_rng(5)
+        for n in range(2, 4097):
+            for k in {1, n - 1, int(rng.integers(1, n))}:
+                a, b = two_block_spectrum(n, k).values
+                assert two_block_exact(n, k) == negative_probability((a, b), (n * (n - k), n * k))
+
 
 class TestCfInversion:
     def test_matches_beta_on_two_block(self):
@@ -240,25 +260,87 @@ class TestCfInversion:
 
     def test_tolerance_validation(self):
         spec = two_block_spectrum(2, 1)
-        with pytest.raises(ValueError):
-            cf_inversion_exact(spec, tol=0.0)
-        with pytest.raises(ValueError):
-            cf_inversion_exact(spec, tol=-1e-9)
+        for tol in (0.0, -1e-9, None, "1e-10", True):
+            with pytest.raises(ValueError, match="tol"):
+                cf_inversion_exact(spec, tol=tol)
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(ConvergenceError):
             cf_inversion_exact(two_block_spectrum(4, 1), tol=1e-15)
 
     def test_invalid_spectrum_rejected(self):
-        bad = KernelSpectrum(2, [1.0, -0.5], [1, 1])
-        with pytest.raises(ValueError):
-            cf_inversion_exact(bad)
+        """validate() is the one check of the spectrum: residuals, inf values included."""
+        for values in ([1.0, -0.5], [math.inf, -1.0], [1.0, -math.inf]):
+            with pytest.raises(ValueError, match="trace constraints"):
+                cf_inversion_exact(KernelSpectrum(2, values, [1, 1]))
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(19)
         for n in (3, 5, 9):
             res = cf_inversion_exact(random_spectrum(n, rng))
             assert 0.0 < res.value < 1.0
+
+
+class TestCfScan:
+    """The first scan is sized by a closed-form envelope of the truncation bound, so
+    one scan finds K wherever the tail is not heavy; ``diagnostics`` say what ran."""
+
+    @pytest.mark.parametrize("n,k", [p for p in GRID_TWO_BLOCK if p != (2, 1)] + [(64, 16), (128, 32)])
+    def test_one_scan_on_two_block_kernels(self, n, k):
+        res = cf_inversion_exact(two_block_spectrum(n, k))
+        d = res.diagnostics
+        assert d["rounds"] == 1 and d["K"] < d["nodes"] <= d["first_scan"]
+        assert d["aliasing"] + d["truncation"] + d["roundoff"] == res.estimated_abs_error
+        # sigma^2 = N sum m pi^2 = N^2 and the mean is sum m pi = 1 by the trace constraints
+        assert (d["sigma"], d["mean"]) == pytest.approx((n, 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 64, 512, 4096])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_scan_on_random_kernels(self, n, seed):
+        d = cf_inversion_exact(random_spectrum(n, np.random.default_rng(seed))).diagnostics
+        assert d["rounds"] == 1 and d["K"] < d["nodes"] <= d["first_scan"]
+
+    @pytest.mark.parametrize("call", [
+        lambda: cf_inversion_exact(two_block_spectrum(2, 1)),
+        *(lambda key=key: negative_probability(*key) for key in HEAVY_TAIL_PINS),
+    ], ids=["two-block-2-1", "heavy-three", "heavy-four"])
+    def test_heavy_tails_take_more_rounds(self, call):
+        """|phi| decays too slowly here for the envelope to size the first scan: it
+        scans the nodes a normal X needs, probes the node cap, then scans on."""
+        d = call().diagnostics
+        assert d["rounds"] >= 3 and d["first_scan"] < d["K"] < d["nodes"]
+
+    def test_envelope_never_passes_before_k(self):
+        """The envelope bounds the computed truncation bound from above, so it fails
+        at every node before K, and a first scan run to its first passing node
+        reaches K.  Over draws of 2 to 6 weights, shapes 0.5 to 1e6 and tol 1e-12
+        to 1e-4, some of which need more than the nodes a normal X needs."""
+        rng = np.random.default_rng(2024)
+        enlarged = 0
+        for _ in range(200):
+            m = int(rng.integers(2, 7))
+            w = rng.standard_normal(m)
+            w[0], w[1] = abs(w[0]), -abs(w[1])
+            s = np.exp(rng.uniform(math.log(0.5), math.log(1e6), m))
+            tol = float(10.0 ** rng.uniform(-12, -4))
+            try:
+                d = oracles._cf_inversion(w, s, tol).diagnostics
+            except ConvergenceError:  # a bound over tol, or a tail past the node cap
+                continue
+            step = 2.0 * math.pi / d["L"]
+            top2 = float(np.max((w / d["sigma"]) ** 2))
+            envelope = [oracles._envelope((j + 0.5) * step, top2) for j in range(d["K"] + 1)]
+            assert min(envelope[:-1], default=math.inf) > tol / 4
+            assert d["truncation"] <= envelope[-1] * (1.0 + 1e-9)
+            normal = math.ceil(math.sqrt(2.0 * math.log(4.0 / tol)) / step)
+            enlarged += d["rounds"] == 1 and d["first_scan"] > normal
+        assert enlarged >= 3
+
+    def test_envelope_falls(self):
+        u = np.geomspace(1e-3, 1e6, 400)
+        for top2 in (1e-8, 0.01, 0.3, 0.5, 0.9, 1.0):
+            envelope = [oracles._envelope(float(x), top2) for x in u]
+            assert all(a > b for a, b in zip(envelope, envelope[1:]) if b > 0.0)
 
 
 class TestNegativeProbability:
@@ -344,6 +426,7 @@ class TestCltQuadrature:
         res = clt_probability(t)
         assert abs(res.value - LIMIT) <= res.estimated_abs_error <= 1e-9
         assert res.method == "clt-quadrature"
+        assert res.diagnostics["rounds"] <= 2 and 13 <= res.diagnostics["panels"] <= 19
 
     def test_extreme_t(self):
         res = clt_probability(50.0)
@@ -377,6 +460,19 @@ class TestCltQuadrature:
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(ConvergenceError):
             clt_probability(1.0, tol=1e-16)
+
+    def test_roundoff_floor_raises_after_first_round(self, monkeypatch):
+        """Each panel's error is at least 50 eps times its integral, about 1.8e-15 in
+        all, so below tol ~ 1.8e-14 no split reaches tol/10: the first round raises
+        where splitting used to run on to the panel cap."""
+        rounds = []
+        rule = oracles._gauss_kronrod
+        monkeypatch.setattr(oracles, "_gauss_kronrod", lambda *args: rounds.append(1) or rule(*args))
+        with pytest.raises(ConvergenceError, match="tol 1.000e-15 is below the roundoff floor"):
+            clt_probability(1.0, tol=1e-15)
+        assert len(rounds) == 1
+        res = clt_probability(1.0, tol=1e-13)
+        assert abs(res.value - LIMIT) <= res.estimated_abs_error <= 1e-13
 
 
 def _second_order(spectrum: KernelSpectrum) -> float:
@@ -433,6 +529,22 @@ def test_nan_inputs_rejected(call):
 
 
 class TestOracleResult:
+    def test_diagnostics_are_read_only_and_outside_equality(self):
+        res = cf_inversion_exact(two_block_spectrum(8, 1))
+        bare = OracleResult(res.value, res.method, res.estimated_abs_error)
+        assert bare.diagnostics is None and res == bare and hash(res) == hash(bare)
+        with pytest.raises(TypeError):
+            res.diagnostics["K"] = 0
+        for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            again = clone(res)
+            assert again == res and again.diagnostics == res.diagnostics
+        assert dataclasses.asdict(res)["diagnostics"] == res.diagnostics
+        assert json.loads(json.dumps(dataclasses.astuple(res)))[3] == res.diagnostics
+        given = {"panels": 14}
+        res = OracleResult(0.5, "clt-quadrature", 0.0, given)
+        given["panels"] = 0
+        assert res.diagnostics == {"panels": 14}
+
     def test_rejects_out_of_range_value(self):
         with pytest.raises(ValueError):
             OracleResult(value=1.5, method="limit", estimated_abs_error=0.0)
