@@ -257,10 +257,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    family = args.two_block is not None or args.random_seed is not None
-    if sum([bool(args.limit), args.clt is not None, family]) != 1:
-        raise ValueError("choose exactly one of --limit, --clt T, or a kernel family with --n")
-    if not family and (args.n is not None or args.cf):
+    if (args.limit or args.clt is not None) and (args.n is not None or args.cf):
         raise ValueError("--n and --cf apply only to a kernel family")
     _real(args.tol, "tol", finite=False)
     if args.limit:
@@ -299,18 +296,20 @@ def _cmd_state(args) -> int:
     return 0
 
 
-def _add_family_flags(parser: argparse.ArgumentParser, required: bool) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_family_flags(parser: argparse.ArgumentParser) -> argparse._MutuallyExclusiveGroup:
+    """Add the required choice of kernel family; returns the group for more choices."""
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--two-block", dest="two_block", type=int, metavar="K",
                        help="two-block kernel; K is the negative-block multiplicity")
     group.add_argument("--random", dest="random_seed", type=int, metavar="SEED",
                        help="random kernel spectrum drawn deterministically from SEED")
+    return group
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     """The flags of one seeded estimate, shared by ``estimate`` and ``state``."""
     parser.add_argument("--n", type=int, required=True, metavar="N")
-    _add_family_flags(parser, required=True)
+    _add_family_flags(parser)
     parser.add_argument("--trials", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=1,
@@ -335,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kernel = sub.add_parser("kernel", help="print a kernel spectrum with residuals and moments")
     p_kernel.add_argument("--n", type=int, required=True, metavar="N")
-    _add_family_flags(p_kernel, required=True)
+    _add_family_flags(p_kernel)
     _add_output_flags(p_kernel, ("pretty", "json"))
     p_kernel.set_defaults(handler=_cmd_kernel)
 
@@ -366,11 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="exact negativity probabilities, no sampling")
-    p_oracle.add_argument("--limit", action="store_true", help="infinite-dimension limit value")
-    p_oracle.add_argument("--clt", type=float, default=None, metavar="T",
-                          help="normal-reduction quadrature at parameter T")
+    modes = _add_family_flags(p_oracle)
+    modes.add_argument("--limit", action="store_true", help="infinite-dimension limit value")
+    modes.add_argument("--clt", type=float, default=None, metavar="T",
+                       help="normal-reduction quadrature at parameter T")
     p_oracle.add_argument("--n", type=int, default=None, metavar="N")
-    _add_family_flags(p_oracle, required=False)
     p_oracle.add_argument("--cf", action="store_true",
                           help="force characteristic-function inversion for two-block kernels")
     p_oracle.add_argument("--tol", type=float, default=1e-10,

@@ -60,8 +60,8 @@ def _real(value, name: str, *, strict: bool = True, finite: bool = True) -> floa
     ok = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
     try:
         number = float(value) if ok else math.nan
-    except OverflowError:  # an int beyond the float range
-        number = math.nan
+    except OverflowError:  # an int beyond the float range, which only an infinite tol accepts
+        number = math.inf if value > 0 else -math.inf
     if not ((number > 0.0 if strict else number >= 0.0) and (number < math.inf or not finite)):
         rule = ("positive" if strict else ">= 0") + (" and finite" if finite else "")
         raise ValueError(f"{name} must be {rule}, got {value!r}")

@@ -65,11 +65,9 @@ _BLOCK_ELEMENTS = 1 << 14
 # that scan is evaluated
 _MAX_NODES = 1 << 18
 
-# the CLT quadrature's half window in y, the widest first panel (twice the density's
-# scale), and the panel cap (scipy quad's limit=400)
-_WINDOW = 13.0
-_FIRST_WIDTH = 2.0
-_MAX_PANELS = 400
+# the CLT quadrature's panels: width 2, twice the density's scale, tiling |y| <= 13
+_PANEL_LO = np.arange(-13.0, 13.0, 2.0)
+_PANEL_HI = _PANEL_LO + 2.0
 
 # Phi(x) phi(y) is this times erfc(-x / sqrt 2) exp(-y^2 / 2)
 _HALF_DENSITY = 0.5 / math.sqrt(2.0 * math.pi)
@@ -126,7 +124,7 @@ class OracleResult:
         (its length in nodes), ``nodes`` (all evaluated, the cap probe
         included), ``rounds`` (scans, the cap probe included) and the
         ``aliasing``, ``truncation`` and ``roundoff`` bounds; the normal-reduction
-        quadrature gives ``panels`` and ``rounds``.  None for the other routes.
+        quadrature gives ``panels`` only.  None for the other routes.
     """
 
     value: float
@@ -412,33 +410,26 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
 def clt_probability(t: float, tol: float = 1e-9) -> OracleResult:
     """Normal-reduction probability P(t), constant in t by construction.
 
-    Evaluates integral of Phi(y*t - hypot(t, 1)) * phi(y) dy over the
-    real line (Phi, phi the standard normal CDF and density), truncated to
-    |y| <= 13 where the density is below 1e-37.  The value equals
-    1 - Phi(1) for every t >= 0; evaluating the integral rather than the
-    constant is the point, as the constancy is what the quadrature checks.
+    P(t) is the probability that Z <= t Y - hypot(t, 1) for independent
+    standard normals Y and Z, the integral of Phi(t y - hypot(t, 1)) phi(y) dy
+    over the real line (Phi, phi the standard normal CDF and density).  It
+    equals 1 - Phi(1) for every t >= 0; evaluating the integral rather than
+    the constant is the point, as the constancy is what the quadrature checks.
 
-    The rule is QUADPACK's adaptive 21-point Gauss-Kronrod pair (Piessens et
-    al. 1983, dqk21), vectorised over panels.  A panel's error estimate is
-    QUADPACK's: resasc * min(1, (200 |K21 - G10| / resasc)^1.5), and at least
-    50 eps times its integral, resasc being the K21 integral of |f - mean f|.
-    Each round evaluates every new panel in one array pass; while the errors
-    sum to more than tol/10, every panel whose error exceeds an equal share of
-    tol/10 is halved.  ConvergenceError is raised after the first round if
-    the roundoff floor, 50 eps times the integral, exceeds tol/10 (from
-    tol ~ 1.8e-14 down), when splitting would pass 400 panels, or when the
-    error bound, the quadrature error plus 1e-15 for truncation and roundoff,
+    Dividing the event by t and swapping the two normals gives P(t) = P(1/t),
+    so the integral is taken at r = min(t, 1/t) <= 1, where the CDF argument
+    r y - hypot(r, 1) changes no faster than the density and stays within
+    about 10 in magnitude.  One pass of QUADPACK's 21-point Gauss-Kronrod pair
+    (Piessens et al. 1983, dqk21) over 13 fixed panels of width 2 on
+    |y| <= 13, where the density is below 1e-37, meets about 2.8e-15 at every
+    t from 0 to the largest float.  A panel's error estimate is QUADPACK's:
+    resasc * min(1, (200 |K21 - G10| / resasc)^1.5), and at least 50 eps
+    times its integral, resasc being the K21 integral of |f - mean f|.
+
+    ConvergenceError is raised if the roundoff floor, 50 eps times the
+    integral, exceeds tol/10 (from tol ~ 1.8e-14 down), or when the error
+    bound, the quadrature error plus 1e-15 for truncation and roundoff,
     exceeds ``tol``.
-
-    For large t the CDF factor switches on over a width 1/t around the
-    crossing y0 = hypot(t, 1)/t.  The panels are laid as offsets d from y0,
-    with edges at the crossing and, within unit distance of it, 2, 8 and 40
-    widths to either side, so the rule resolves the switch however narrow it
-    is; the CDF argument t*d + (t*y0 - hypot(t, 1)) keeps its digits at every
-    t up to the largest float.  Where the crossing lies outside the window
-    (t < 0.078), the offsets are taken from y = 0 and no edges are added.
-    Between the edges the first panels are at most 2 wide, twice the density's
-    scale, so at most t one round of 13 to 19 panels meets the default tol.
 
     Parameters
     ----------
@@ -453,69 +444,36 @@ def clt_probability(t: float, tol: float = 1e-9) -> OracleResult:
         method ``"clt-quadrature"``.
     """
     t, tol = _real(t, "t", strict=False), _real(tol, "tol", finite=False)
-    shift = math.hypot(t, 1.0)
-    centre = shift / t if shift < _WINDOW * t else 0.0  # the crossing, if in the window
-    offset = t * centre - shift
-    # the window's ends, the crossing and, within unit distance of it, 2, 8 and 40 widths
-    # to either side, as offsets from the crossing
-    edges = [-_WINDOW - centre, *(d / t for d in (-40.0, -8.0, -2.0, 0.0, 2.0, 8.0, 40.0)
-                                  if centre and abs(d) <= t and abs(centre + d / t) < _WINDOW),
-             _WINDOW - centre]
-    # first panels at most _FIRST_WIDTH wide between those edges
-    starts = []
-    for a, b in zip(edges, edges[1:]):
-        pieces = math.ceil((b - a) / _FIRST_WIDTH)
-        starts += [a + (b - a) * i / pieces for i in range(pieces)]
-    lo = np.array(starts)
-    hi = np.append(lo[1:], edges[-1])
-    slope, intercept = -t * math.sqrt(0.5), -offset * math.sqrt(0.5)
+    r = t if t <= 1.0 else 1.0 / t
+    slope, intercept = -r * math.sqrt(0.5), math.hypot(r, 1.0) * math.sqrt(0.5)
 
-    def integrand(d: np.ndarray) -> np.ndarray:
-        """Phi(t d + offset) phi(centre + d), with Phi(x) = erfc(-x / sqrt 2) / 2."""
-        x = d * slope + intercept  # overflows only where erfc is 0 or 2
-        y = d + centre
+    def integrand(y: np.ndarray) -> np.ndarray:
+        """Phi(r y - hypot(r, 1)) phi(y), with Phi(x) = erfc(-x / sqrt 2) / 2."""
+        x = y * slope + intercept
         erfc = np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
         return erfc * np.exp(y * y * -0.5) * _HALF_DENSITY
 
-    target = 0.1 * tol
-    value, error = _gauss_kronrod(integrand, lo, hi)
-    # a panel's error is at least 50 eps times its integral, however it is split
+    value, error = _gauss_kronrod(integrand, _PANEL_LO, _PANEL_HI)
+    # a panel's error is at least 50 eps times its integral, however narrow the panel
     floor = 50.0 * _EPS * float(np.abs(value).sum())
-    if floor > target:
+    if floor > 0.1 * tol:
         raise ConvergenceError(f"tol {tol:.3e} is below the roundoff floor {10.0 * floor:.3e} "
                                f"of the quadrature at t={t!r}")
-    rounds = 1
-    while not (total := float(error.sum())) <= target:
-        keep = error <= target / error.size  # a NaN error is split, and so meets the cap
-        split = ~keep
-        mid = 0.5 * (lo[split] + hi[split])
-        if np.count_nonzero(keep) + 2 * mid.size > _MAX_PANELS:
-            raise ConvergenceError(
-                f"quadrature error {total:.3e} over {error.size} panels cannot reach "
-                f"tol {tol:.3e} within {_MAX_PANELS} panels at t={t!r}")
-        new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
-        new_value, new_error = _gauss_kronrod(integrand, new_lo, new_hi)
-        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
-        value = np.concatenate((value[keep], new_value))
-        error = np.concatenate((error[keep], new_error))
-        rounds += 1
-    integral = float(value.sum())
-    est_err = total + 1e-15  # quadrature + truncation (< 1e-37) + roundoff slack
+    est_err = float(error.sum()) + 1e-15  # quadrature + truncation (< 1e-37) + roundoff slack
     if not est_err <= tol:
         raise ConvergenceError(f"quadrature error {est_err:.3e} exceeds tol {tol:.3e} at t={t!r}")
     return OracleResult(
-        value=min(max(integral, 0.0), 1.0),
+        value=min(max(float(value.sum()), 0.0), 1.0),
         method="clt-quadrature",
         estimated_abs_error=est_err,
-        diagnostics={"panels": error.size, "rounds": rounds},
+        diagnostics={"panels": error.size},
     )
 
 
 def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K21 integrals of a non-negative ``f`` over the panels [lo, hi] and QUADPACK's
     error estimates, from one evaluation of ``f`` on a (panels x 21) node array."""
-    # f may overflow on the way to a value it saturates at (t d of the CLT integrand)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         fx = f(lo[:, None] * _FROM_LO + hi[:, None] * _FROM_HI)
         kronrod, gauss_gap = (fx @ _RULE).T  # K21, and K21 - G10
         resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD_WEIGHTS
