@@ -12,9 +12,14 @@ ends.  A quadrature for the large-N normal reduction and the limit constant
 itself complete the set.
 
 Only the beta form uses scipy: it imports scipy.special on first call.  The
-CF inversion and the normal-reduction quadrature run on numpy and the math
-module's erfc, and the limit on the math module, so importing the package
-loads no scipy module and no route loads scipy.integrate.
+CF inversion runs on numpy, and the normal-reduction quadrature and the limit
+on the math module, so importing the package loads no scipy module and no
+route loads scipy.integrate.
+
+Both quadratures are trapezoid rules with explicit error bounds.  The
+normal-reduction integrand is entire and falls off like the normal density,
+so one fixed trapezoid sum at step 1/2 over |y| <= 13 meets an a-priori bound
+(Trefethen & Weideman 2014, SIAM Rev. 56, Thm 5.1) at every t.
 
 The CF inversion is Davies' half-offset trapezoid rule (Davies 1973,
 Biometrika 60; Algorithm AS 155, 1980) on the unit-variance variable
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelSpectrum, _real, _two_block
+from .kernels import _EPS, KernelSpectrum, _real, _two_block
 
 __all__ = [
     "OracleResult",
@@ -55,8 +60,6 @@ LIMIT_VALUE = 0.5 * math.erfc(1.0 / math.sqrt(2.0))
 # absolute error bound of the beta function evaluation at its given argument
 _BETA_ERROR = 5e-13
 
-_EPS = float(np.finfo(float).eps)
-
 # nodes x weights grid elements the CF route evaluates at once; bounds its memory
 _BLOCK_ELEMENTS = 1 << 14
 
@@ -65,40 +68,16 @@ _BLOCK_ELEMENTS = 1 << 14
 # that scan is evaluated
 _MAX_NODES = 1 << 18
 
-# the CLT quadrature's panels: width 2, twice the density's scale, tiling |y| <= 13
-_PANEL_LO = np.arange(-13.0, 13.0, 2.0)
-_PANEL_HI = _PANEL_LO + 2.0
-
-# Phi(x) phi(y) is this times erfc(-x / sqrt 2) exp(-y^2 / 2)
-_HALF_DENSITY = 0.5 / math.sqrt(2.0 * math.pi)
-
-# QUADPACK's 21-point Kronrod abscissae on [-1, 1] from the left end to the centre,
-# the 10-point Gauss abscissae at the odd positions, and both weight sets
-# (Piessens et al. 1983, dqk21)
-_KRONROD_HALF = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0])
-_KRONROD_HALF_WEIGHTS = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077500307581125, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821])
-_GAUSS_HALF_WEIGHTS = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338])
-_KRONROD_NODES = np.concatenate((-_KRONROD_HALF, _KRONROD_HALF[-2::-1]))
-_KRONROD_WEIGHTS = np.concatenate((_KRONROD_HALF_WEIGHTS, _KRONROD_HALF_WEIGHTS[-2::-1]))
-_GAUSS_WEIGHTS = np.zeros(21)
-_GAUSS_WEIGHTS[1::2] = np.concatenate((_GAUSS_HALF_WEIGHTS, _GAUSS_HALF_WEIGHTS[::-1]))
-_RULE = np.stack((_KRONROD_WEIGHTS, _KRONROD_WEIGHTS - _GAUSS_WEIGHTS), axis=1)
-# a node lo (1 - x)/2 + hi (1 + x)/2 of the panel [lo, hi] from those two weights
-_FROM_LO, _FROM_HI = 0.5 * (1.0 - _KRONROD_NODES), 0.5 * (1.0 + _KRONROD_NODES)
+# the CLT rule, pairs (y, h phi(y)) at the nodes y = k h, |y| <= 13, and its quadrature
+# bound 2 M(d) / (exp(2 pi d / h) - 1) and truncation bound, as clt_probability derives
+_CLT_STEP = 0.5
+_CLT_RULE = tuple((y, _CLT_STEP * math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi))
+                  for y in (k * _CLT_STEP for k in range(-26, 27)))
+_CLT_STRIP = 5.0
+_CLT_QUADRATURE = (2.0 * math.exp(0.5 * _CLT_STRIP**2)
+                   * (1.0 + _CLT_STRIP * math.exp(0.5 * _CLT_STRIP**2) / math.sqrt(2.0 * math.pi))
+                   / math.expm1(2.0 * math.pi * _CLT_STRIP / _CLT_STEP))
+_CLT_TRUNCATION = 1e-37
 
 
 class ConvergenceError(RuntimeError):
@@ -123,8 +102,11 @@ class OracleResult:
         The CF inversion gives ``sigma``, ``mean``, ``L``, ``K``, ``first_scan``
         (its length in nodes), ``nodes`` (all evaluated, the cap probe
         included), ``rounds`` (scans, the cap probe included) and the
-        ``aliasing``, ``truncation`` and ``roundoff`` bounds; the normal-reduction
-        quadrature gives ``panels`` only.  None for the other routes.
+        ``aliasing``, ``truncation`` and ``roundoff`` bounds; through
+        :func:`negative_probability`, ``sigma`` is that of the weights scaled so
+        that the largest |w_j| lies in [1/2, 1).  The normal-reduction
+        quadrature gives its ``quadrature``, ``truncation`` and ``roundoff``
+        bounds.  None for the other routes.
     """
 
     value: float
@@ -168,10 +150,12 @@ def limit_quantumness() -> OracleResult:
 def negative_probability(weights, shapes, tol: float = 1e-10) -> OracleResult:
     """P(sum_j w_j G(s_j) < 0) for independent standard gammas G(s_j).
 
-    Two weights w+ > 0 > w- give the regularized incomplete beta
-    I_x(s+, s-) = 1 - I_y(s-, s+) at y = 1 - x = w+ / (w+ + |w-|).  Taking y
-    directly keeps its relative rounding at a few ulps where x = 1 - 1/N
-    would lose log2(N) bits.  The reported bound is 5e-13 for the beta
+    The probability does not change when w is multiplied by any c > 0, and
+    the weights are first scaled by a power of two, exactly, so every finite
+    scale answers alike.  Two weights w+ > 0 > w- give the regularized
+    incomplete beta I_x(s+, s-) = 1 - I_y(s-, s+) at y = 1 - x =
+    w+ / (w+ + |w-|).  Taking y directly keeps its relative rounding at a few
+    ulps where x = 1 - 1/N would lose log2(N) bits.  The reported bound is 5e-13 for the beta
     function itself plus the conditioning term pdf(y) * 4 eps y, the Beta(s-,
     s+) density times that rounding of y; both together hold against
     40-digit binomial sums up to N = 16384.  Any other input, and a two-weight
@@ -209,6 +193,9 @@ def _checked(weights, shapes, tol: float) -> tuple[np.ndarray, np.ndarray, float
         raise ValueError("weights must be finite with at least one of each sign")
     if not 0.0 < s.min() <= s.max() < math.inf:
         raise ValueError("shapes must be finite and positive")
+    # the power of two that takes max |w_j| into [1/2, 1) scales exactly, so no sum of
+    # squares overflows or underflows and results at ordinary scales are bit-identical
+    w = np.ldexp(w, -math.frexp(max(w.max(), -w.min()))[1])
     return w, s, _real(tol, "tol", finite=False)
 
 
@@ -417,19 +404,34 @@ def clt_probability(t: float, tol: float = 1e-9) -> OracleResult:
     the constant is the point, as the constancy is what the quadrature checks.
 
     Dividing the event by t and swapping the two normals gives P(t) = P(1/t),
-    so the integral is taken at r = min(t, 1/t) <= 1, where the CDF argument
-    r y - hypot(r, 1) changes no faster than the density and stays within
-    about 10 in magnitude.  One pass of QUADPACK's 21-point Gauss-Kronrod pair
-    (Piessens et al. 1983, dqk21) over 13 fixed panels of width 2 on
-    |y| <= 13, where the density is below 1e-37, meets about 2.8e-15 at every
-    t from 0 to the largest float.  A panel's error estimate is QUADPACK's:
-    resasc * min(1, (200 |K21 - G10| / resasc)^1.5), and at least 50 eps
-    times its integral, resasc being the K21 integral of |f - mean f|.
+    so the integral is taken at r = min(t, 1/t) <= 1.  Its integrand is entire
+    and falls off like the density, so the trapezoid rule converges
+    geometrically; one fixed sum at step h = 1/2 over the 53 nodes
+    y = k/2, |y| <= 13, weights h phi(y), takes it, with Phi from math.erfc
+    and the terms added by math.fsum.  The reported error, at most about
+    1.3e-15 at every t from 0 to the largest float, is the sum of three
+    bounds, which ``diagnostics`` carry:
 
-    ConvergenceError is raised if the roundoff floor, 50 eps times the
-    integral, exceeds tol/10 (from tol ~ 1.8e-14 down), or when the error
-    bound, the quadrature error plus 1e-15 for truncation and roundoff,
-    exceeds ``tol``.
+    * quadrature, 2 M(d) / (exp(2 pi d / h) - 1) ~ 1.5e-16 at d = 5, by the
+      trapezoid theorem on the strip |Im y| < d (Trefethen & Weideman 2014,
+      SIAM Rev. 56(3), Thm 5.1): there |phi(x + i v)| = phi(x) e^(v^2/2) and
+      |Phi(a + i b)| <= 1 + |b| e^(b^2/2) / sqrt(2 pi) with |b| = r |v| < d,
+      so the integral of |f| along each line is at most
+      M(d) = e^(d^2/2) (1 + d e^(d^2/2) / sqrt(2 pi));
+    * truncation, 1e-37, above the nodes left out past |y| = 13, whose sum
+      h sum phi(y) is about 1e-40;
+    * roundoff, eps (16 P + 2.5) with P the computed value.  Each term
+      h phi(y) erfc(x) / 2 carries relative errors from its weight (exp, the
+      constant and their product: under 3 eps), from math.erfc (allowed
+      12 eps; it is within 2 eps of a 40-digit reference on these arguments)
+      and from its product and the correctly rounded fsum (1 eps together),
+      16 eps in all.  The argument x = (hypot(r, 1) - r y) / sqrt 2 is off by
+      at most 2.5 eps (r |y| + hypot(r, 1)) / sqrt 2, and the derivative of
+      erfc(x) / 2 is -e^(-x^2) / sqrt(pi), so the sum moves by at most
+      2.5 eps sum h phi(y) (|y| + sqrt 2) / sqrt(2 pi) < 2.2 eps, which
+      2.5 eps covers.
+
+    ConvergenceError is raised when that sum exceeds ``tol``.
 
     Parameters
     ----------
@@ -445,42 +447,19 @@ def clt_probability(t: float, tol: float = 1e-9) -> OracleResult:
     """
     t, tol = _real(t, "t", strict=False), _real(tol, "tol", finite=False)
     r = t if t <= 1.0 else 1.0 / t
-    slope, intercept = -r * math.sqrt(0.5), math.hypot(r, 1.0) * math.sqrt(0.5)
-
-    def integrand(y: np.ndarray) -> np.ndarray:
-        """Phi(r y - hypot(r, 1)) phi(y), with Phi(x) = erfc(-x / sqrt 2) / 2."""
-        x = y * slope + intercept
-        erfc = np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
-        return erfc * np.exp(y * y * -0.5) * _HALF_DENSITY
-
-    value, error = _gauss_kronrod(integrand, _PANEL_LO, _PANEL_HI)
-    # a panel's error is at least 50 eps times its integral, however narrow the panel
-    floor = 50.0 * _EPS * float(np.abs(value).sum())
-    if floor > 0.1 * tol:
-        raise ConvergenceError(f"tol {tol:.3e} is below the roundoff floor {10.0 * floor:.3e} "
-                               f"of the quadrature at t={t!r}")
-    est_err = float(error.sum()) + 1e-15  # quadrature + truncation (< 1e-37) + roundoff slack
+    slope, intercept = r * math.sqrt(0.5), math.hypot(r, 1.0) * math.sqrt(0.5)
+    # Phi(r y - hypot(r, 1)) = erfc((hypot(r, 1) - r y) / sqrt 2) / 2
+    value = 0.5 * math.fsum([w * math.erfc(intercept - slope * y) for y, w in _CLT_RULE])
+    roundoff = _EPS * (16.0 * value + 2.5)
+    est_err = _CLT_QUADRATURE + _CLT_TRUNCATION + roundoff
     if not est_err <= tol:
-        raise ConvergenceError(f"quadrature error {est_err:.3e} exceeds tol {tol:.3e} at t={t!r}")
+        raise ConvergenceError(
+            f"CLT quadrature cannot certify tol {tol:.3e} at t={t!r}: quadrature "
+            f"{_CLT_QUADRATURE:.3e}, truncation {_CLT_TRUNCATION:.3e}, roundoff {roundoff:.3e}")
     return OracleResult(
-        value=min(max(float(value.sum()), 0.0), 1.0),
+        value=value,
         method="clt-quadrature",
         estimated_abs_error=est_err,
-        diagnostics={"panels": error.size},
+        diagnostics={"quadrature": _CLT_QUADRATURE, "truncation": _CLT_TRUNCATION,
+                     "roundoff": roundoff},
     )
-
-
-def _gauss_kronrod(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K21 integrals of a non-negative ``f`` over the panels [lo, hi] and QUADPACK's
-    error estimates, from one evaluation of ``f`` on a (panels x 21) node array."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fx = f(lo[:, None] * _FROM_LO + hi[:, None] * _FROM_HI)
-        kronrod, gauss_gap = (fx @ _RULE).T  # K21, and K21 - G10
-        resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _KRONROD_WEIGHTS
-        # where resasc is 0, f is constant on the panel: the ratio is NaN or inf, its
-        # product NaN or 0, and fmax keeps the roundoff floor; f >= 0, so the K21
-        # integral of |f| is the integral itself
-        error = np.fmax(resasc * np.minimum(1.0, (200.0 * np.abs(gauss_gap) / resasc) ** 1.5),
-                        50.0 * _EPS * kronrod)
-    half = 0.5 * (hi - lo)
-    return kronrod * half, error * half

@@ -143,6 +143,19 @@ class TestSpectrumStructure:
         with pytest.raises(ValueError, match="trace constraints"):
             bad.validate()
 
+    def test_validate_allows_rounding_at_large_n(self):
+        """The residuals of built kernels grow like eps N log2(N): 1.16e-10 for random
+        kernels at 2^18 and 3.7e-9 for two-block (2^26, 2^25), over the old absolute
+        1e-10.  A residual of 1e-9 at N = 8 still fails."""
+        for seed in range(10):
+            random_spectrum(2**18, np.random.default_rng(seed)).validate()
+        two_block_spectrum(2**26, 2**25).validate()
+        exact = two_block_spectrum(8, 1)
+        off = KernelSpectrum(8, exact.values + (0.0, 1e-9), exact.multiplicities)
+        assert abs(master_residuals(off)[0] - 1e-9) < 1e-15
+        with pytest.raises(ValueError, match="trace constraints"):
+            off.validate()
+
     def test_validate_needs_a_negative_eigenvalue(self):
         # sums to 1 and squares to N is impossible without a negative value,
         # so loosen the tolerance to isolate the sign check
