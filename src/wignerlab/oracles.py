@@ -60,8 +60,13 @@ LIMIT_VALUE = 0.5 * math.erfc(1.0 / math.sqrt(2.0))
 # absolute error bound of the beta function evaluation at its given argument
 _BETA_ERROR = 5e-13
 
-# nodes x weights grid elements the CF route evaluates at once; bounds its memory
+# elements of the CF route's stacked (4, nodes, weights) grid, laid out either way, that
+# one block evaluates at once; bounds its memory to 128 KiB a block
 _BLOCK_ELEMENTS = 1 << 14
+
+# weights from which the CF route sums each node's weights along a contiguous row;
+# fewer weights are laid along the node axis and summed across it
+_NODE_MAJOR_FROM = 8
 
 # trapezoid nodes past which the CF route raises instead of evaluating; the cap node
 # alone is checked, only once the first scan falls short, and before any node past
@@ -101,8 +106,9 @@ class OracleResult:
         What the quadrature did, read-only; left out of equality and hashing.
         The CF inversion gives ``sigma``, ``mean``, ``L``, ``K``, ``first_scan``
         (its length in nodes), ``nodes`` (all evaluated, the cap probe
-        included), ``rounds`` (scans, the cap probe included) and the
-        ``aliasing``, ``truncation`` and ``roundoff`` bounds; through
+        included; a scan stops at the end of the block that holds K, so this
+        follows the block size), ``rounds`` (scans, the cap probe included) and
+        the ``aliasing``, ``truncation`` and ``roundoff`` bounds; through
         :func:`negative_probability`, ``sigma`` is that of the weights scaled so
         that the largest |w_j| lies in [1/2, 1).  The normal-reduction
         quadrature gives its ``quadrature``, ``truncation`` and ``roundoff``
@@ -158,9 +164,12 @@ def negative_probability(weights, shapes, tol: float = 1e-10) -> OracleResult:
     ulps where x = 1 - 1/N would lose log2(N) bits.  The reported bound is 5e-13 for the beta
     function itself plus the conditioning term pdf(y) * 4 eps y, the Beta(s-,
     s+) density times that rounding of y; both together hold against
-    40-digit binomial sums up to N = 16384.  Any other input, and a two-weight
-    input whose beta bound exceeds ``tol``, goes to the CF inversion of
-    :func:`cf_inversion_exact` in the caller's weight order.
+    40-digit binomial sums up to N = 16384.  Where |w-| is below half an ulp
+    of w+, y rounds to 1 and the value to 0; the conditioning term then also
+    covers the whole of I_x(s+, s-) <= pdf(y) x / s+, with x taken directly.
+    Any other input, and a two-weight input whose beta bound exceeds ``tol``,
+    goes to the CF inversion of :func:`cf_inversion_exact` in the caller's
+    weight order.
 
     Parameters
     ----------
@@ -207,8 +216,16 @@ def _beta_else_cf(w: np.ndarray, s: np.ndarray, tol: float) -> OracleResult:
         order = 1 if w[0] > 0.0 else -1  # Python floats from here: the same IEEE operations
         (wp, wn), (sp, sn) = w.tolist()[::order], s.tolist()[::order]
         y = wp / (wp - wn)
-        log_pdf = (sn - 1.0) * math.log(y) + (sp - 1.0) * math.log1p(-y) - betaln(sn, sp)
-        bound = _BETA_ERROR + float(np.exp(log_pdf)) * 4.0 * _EPS * y
+        if y < 1.0:
+            log_x, reach = math.log1p(-y), 0.0
+        else:
+            # |w-| is below half an ulp of w+, so y rounds to 1 and the value to 0, off by
+            # all of I_x(s+, s-) <= pdf(y) x / s+ at x = |w-| / (w+ + |w-|), taken directly
+            x = -wn / (wp - wn)
+            log_x, reach = (math.log(x) if x > 0.0 else -math.inf), x / sp
+        log_pdf = (sn - 1.0) * math.log(y) + (sp - 1.0) * log_x - betaln(sn, sp)
+        pdf = float(np.exp(log_pdf)) if log_pdf < 709.0 else math.inf  # NaN included
+        bound = _BETA_ERROR + max(pdf * 4.0 * _EPS * y, pdf * reach)
         if bound <= tol:
             value = float(betaincc(sn, sp, y))
             return OracleResult(value=value, method="beta-closed-form", estimated_abs_error=bound)
@@ -244,9 +261,10 @@ def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleRe
 
         P(S < 0) = 1/2 - sum_{k=0..K} Im phi(u_k) / (pi (k + 1/2)) + error,
 
-    with |phi| and arg phi summed in real arithmetic over a (nodes x weights)
-    grid.  The error is bounded by three terms, whose sum must not exceed
-    ``tol``:
+    with log |phi|, arg phi and their sizes summed in real arithmetic over one
+    stacked grid of nodes and weights, weights-major below 8 weights and
+    node-major from 8 on, in blocks of at most 2^14 grid elements.  The error
+    is bounded by three terms, whose sum must not exceed ``tol``:
 
     * aliasing, at most P(X < -L) + P(X > L); L comes in closed form from the
       Bernstein tails of X - E X (variance 1, scale max w_j / sigma on the
@@ -304,24 +322,38 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
     aliasing = 2.0 * math.exp(-t)
     step = 2.0 * math.pi / half_width
     target = tol / 4.0
-    signed = np.copysign(shapes, w)  # arctan(z_j) has the sign of w_j
+    by_node = w.size >= _NODE_MAJOR_FROM
+    axis, weighting = (2, shapes) if by_node else (1, shapes[:, None])
 
     def nodes(first: int, stop: int) -> tuple[np.ndarray, ...]:
         """Term, rounding size, truncation bound and slope at nodes first..stop-1.
 
-        Sums over z = w u / sigma run along contiguous rows, pairwise, so a node's
-        values do not depend on the other nodes evaluated with it.
+        The four weight sums, of log1p(z^2), z^2 / (1 + z^2), arctan z and
+        |arctan z| times s_j over z = w u / sigma, come from one stacked grid.
+        From 8 weights on each node's sum runs along a contiguous row, pairwise;
+        with fewer, the grid is weights-major and the sum runs across the node
+        axis, left to right, which is the order numpy's pairwise sum takes below
+        8 terms, so both layouts give the same bits.  Either way a node's values
+        do not depend on the other nodes evaluated with it.
         """
         half = np.arange(first + 0.5, stop)
-        z = np.multiply.outer(half * step, w)
-        z2 = z * z
-        log_mod = -0.5 * np.add.reduce(np.log1p(z2) * shapes, axis=1)
+        grid = np.empty((4, half.size, w.size) if by_node else (4, w.size, half.size))
+        logs, ratio, angle, size = grid  # z, z^2 and 1 + z^2 pass through these rows too
+        if by_node:
+            np.multiply.outer(half * step, w, out=angle)
+        else:
+            np.multiply.outer(w, half * step, out=angle)
+        np.multiply(angle, angle, out=ratio)
+        np.log1p(ratio, out=logs)
+        np.divide(ratio, np.add(1.0, ratio, out=size), out=ratio)
+        np.arctan(angle, out=angle)
+        # arctan z_j has the sign of w_j, so |arctan z_j| s_j sums the phase's sizes
+        np.absolute(angle, out=size)
+        grid *= weighting
+        log_size, slope, phase, phase_size = np.add.reduce(grid, axis=axis)
+        log_mod = -0.5 * log_size
         mod = np.exp(log_mod)
-        slope = np.add.reduce(z2 / (1.0 + z2) * shapes, axis=1)
-        angle = np.arctan(z)
         scale = mod / (math.pi * half)
-        phase = np.add.reduce(angle * shapes, axis=1)
-        phase_size = np.add.reduce(angle * signed, axis=1)
         return (scale * np.sin(phase), scale * (1.0 + phase_size - log_mod),
                 mod / (math.pi * slope), slope)
 
@@ -330,7 +362,7 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
             f"CF inversion cannot certify tol {tol:.3e}: sigma={sigma:.6g}, L={half_width:.6g}, "
             f"K={last}, aliasing {aliasing:.3e}, truncation {trunc:.3e}, roundoff {roundoff:.3e}")
 
-    per_block = max(1, _BLOCK_ELEMENTS // w.size)
+    per_block = max(1, _BLOCK_ELEMENTS // (4 * w.size))
 
     # a normal X passes by u = sqrt(2 log(1/target)); that target is clamped like the
     # aliasing term's, so u >= sqrt(2 log 4) and a node is scanned
@@ -376,9 +408,11 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
                        16 * first, _MAX_NODES)
             rounds += 1
     count = last + 1
-    value = 0.5 - float(np.concatenate(terms)[:count].sum())
+    if len(terms) > 1:  # a one-block scan sums that block's arrays as they are
+        term, rounding = np.concatenate(terms), np.concatenate(sizes)
+    value = 0.5 - float(term[:count].sum())
     # four roundings a phase term, one level a pairwise sum over weights and over nodes
-    roundoff = _EPS * (4.0 + math.log2(w.size * count)) * float(np.concatenate(sizes)[:count].sum())
+    roundoff = _EPS * (4.0 + math.log2(w.size * count)) * float(rounding[:count].sum())
     est_err = aliasing + trunc + roundoff
     if not est_err <= tol:
         raise failure(last, trunc, roundoff)

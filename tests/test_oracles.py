@@ -236,11 +236,44 @@ class TestCfInversion:
         lambda: cf_inversion_exact(two_block_spectrum(2, 1)),
         lambda: negative_probability((2.0, 0.7, -1.3), (1.0, 1.0, 1.0), tol=1e-8),
         lambda: negative_probability((3.0, 1.0, -0.5, -2.0), (0.5,) * 4, tol=1e-6),
-    ], ids=["two-block", "random", "two-block-2-1", "heavy-three", "heavy-four"])
+        # one weight either side of the switch from the weights-major to the node-major grid
+        lambda: negative_probability((1.0, 0.6, 0.3, -0.2, -0.5, -0.9, -1.1),
+                                     (2.0, 3.0, 1.5, 4.0, 0.7, 2.5, 1.0)),
+        lambda: negative_probability((1.0, 0.6, 0.3, 0.1, -0.2, -0.5, -0.9, -1.1),
+                                     (2.0, 3.0, 1.5, 5.0, 4.0, 0.7, 2.5, 1.0)),
+    ], ids=["two-block", "random", "two-block-2-1", "heavy-three", "heavy-four", "seven", "eight"])
     def test_block_size_does_not_change_result(self, call, monkeypatch):
         blocked = call()
         monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", 1)  # one node a block
         assert call() == blocked
+
+    def test_grid_layout_does_not_change_result(self, monkeypatch):
+        """Below 8 weights the grid is weights-major and its sums run across the node
+        axis, left to right; numpy's pairwise sum of fewer than 8 terms takes that
+        order too, so forcing the node-major grid changes no bit, diagnostics and
+        error messages included.  Over draws of 2 to 7 weights, shapes 0.3 to 1e5 and
+        tol 1e-12 to 1e-4, and the heavy-tail pins."""
+        rng = np.random.default_rng(20)
+        inputs = []
+        for _ in range(200):
+            m = int(rng.integers(2, 8))
+            w = rng.standard_normal(m)
+            w[0], w[1] = abs(w[0]), -abs(w[1])
+            inputs.append((w, np.exp(rng.uniform(math.log(0.3), math.log(1e5), m)),
+                           float(10.0 ** rng.uniform(-12, -4))))
+        inputs += [(np.array(w), np.array(s), tol) for w, s, tol in HEAVY_TAIL_PINS]
+
+        def run(w, s, tol):
+            try:
+                res = oracles._cf_inversion(w, s, tol)
+            except ConvergenceError as exc:
+                return str(exc)
+            return res.value, res.estimated_abs_error, dict(res.diagnostics)
+
+        by_weight = [run(*args) for args in inputs]
+        monkeypatch.setattr(oracles, "_NODE_MAJOR_FROM", 2)
+        assert [run(*args) for args in inputs] == by_weight
+        assert sum(isinstance(r, tuple) for r in by_weight) >= 150
 
     def test_node_cap_raises_before_evaluating(self):
         """Shapes this small make phi decay like u^(-0.03): no node up to the cap
@@ -418,6 +451,26 @@ class TestNegativeProbability:
         tight = negative_probability((1.0, -1.0, 0.5), (1.0, 1.0, 1.0))
         assert res.method == "cf-inversion" and res.estimated_abs_error <= tol
         assert abs(res.value - tight.value) <= res.estimated_abs_error + tight.estimated_abs_error
+
+    @pytest.mark.parametrize("negative", [-1e-17, -1e-320])
+    def test_beta_route_weight_below_half_an_ulp(self, negative):
+        """|w-| below half an ulp of w+ rounds y = w+ / (w+ - w-) to 1, where log1p(-y)
+        has no value; the answer is |w-| / (w+ + |w-|) for unit shapes."""
+        res = negative_probability((1.0, negative), (1.0, 1.0))
+        assert res.method == "beta-closed-form"
+        assert abs(res.value - -negative / (1.0 - negative)) <= res.estimated_abs_error <= 1e-10
+
+    @pytest.mark.parametrize("shape", [1e-3, 0.05, 0.1, 0.5, 3.0])
+    @pytest.mark.parametrize("negative", [-1e-17, -5e-17, -1e-320])
+    def test_beta_route_rounded_y_bound_is_honest(self, shape, negative):
+        """Where y rounds to 1 the value is 0, and with a small positive shape the true
+        I_x(s+, 1) = x^s+ is far from it: the bound covers it, or the call raises."""
+        try:
+            res = negative_probability((1.0, negative), (shape, 1.0), tol=0.5)
+        except ConvergenceError:
+            return
+        x = -negative / (1.0 - negative)
+        assert abs(res.value - x**shape) <= res.estimated_abs_error
 
     def test_beta_route_unreachable_tolerance_raises(self):
         """Neither the beta bound nor the CF fallback meets tol = 1e-15."""
