@@ -15,7 +15,7 @@ import numpy as np
 from wignerlab import (
     estimate_global,
     ginibre_batch,
-    haar_unitary,
+    haar_batch,
     two_block_spectrum,
 )
 
@@ -43,7 +43,7 @@ def haar_check(rng, n=8, draws=2000):
     worst = 0.0
     first_entry = np.empty(draws)
     for i in range(draws):
-        u = haar_unitary(n, rng)
+        u = haar_batch(1, n, rng)[0]
         worst = max(worst, np.abs(u @ u.conj().T - np.eye(n)).max())
         first_entry[i] = np.abs(u[0, 0]) ** 2
     # |u_00|^2 of a Haar unitary is Beta(1, n-1) with mean 1/n

@@ -8,7 +8,7 @@ exactly zero since its quasiprobability is flat and positive.
 """
 import numpy as np
 
-from wignerlab import estimate_state, hs_state, sample_ginibre, two_block_spectrum
+from wignerlab import estimate_state, ginibre_batch, hs_state, two_block_spectrum
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
     rng = np.random.default_rng(12)
     spec4 = two_block_spectrum(4, 1)
     for i in range(4):
-        rho = hs_state(sample_ginibre(4, rng))
+        rho = hs_state(ginibre_batch(1, 4, rng)[0])
         purity = float(np.trace(rho @ rho).real)
         est = estimate_state(rho, spec4, 100_000, seed=100 + i)
         print(f"  draw {i}: purity={purity:.4f}  p_hat={est.p_hat:.5f} "

@@ -194,55 +194,11 @@ def _parse_dimensions(text: str) -> tuple[int, ...]:
             f"cannot parse dimension list {text!r}; use e.g. 2,4,8") from None
 
 
-def _has_type(value, types) -> bool:
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
-# what each sweep setting must be, keyed by SweepConfig field: (wording, type, item type)
-_SWEEP_TYPES = {
-    "dimensions": ("a list of integers", list, int),
-    "kernels": ("a list of strings", list, str),
-    "trials": ("an integer", int, None),
-    "seed": ("an integer", int, None),
-    "workers": ("an integer", int, None),
-    "z": ("a number", (int, float), None),
-    "method": ("a string", str, None),
-}
-
-
-def _sweep_settings(args) -> dict:
-    """Sweep settings: the config file's, then the flags over them; seed defaults
-    to 0, the rest to SweepConfig's defaults."""
-    conf: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            conf = json.load(fh)
-        if not isinstance(conf, dict):
-            raise ValueError(f"config file {args.config}: expected a JSON object")
-        unknown = set(conf) - set(_SWEEP_TYPES)
-        if unknown:
-            raise ValueError(f"config file {args.config}: unknown keys {sorted(unknown)}")
-        for key, value in conf.items():
-            what, types, items = _SWEEP_TYPES[key]
-            if not (_has_type(value, types)
-                    and (items is None or all(_has_type(v, items) for v in value))):
-                raise ValueError(
-                    f"config file {args.config}: {key!r} must be {what}, got {value!r}")
-    flags = {key: getattr(args, key) for key in _SWEEP_TYPES}
-    conf.update((key, value) for key, value in flags.items() if value is not None)
-    for key, flag in (("dimensions", "--n"), ("kernels", "--kernels"), ("trials", "--trials")):
-        if key not in conf:
-            raise ValueError(f"sweep needs {flag} or a config file with {key!r}")
-    conf.setdefault("seed", 0)
-    return conf
-
-
 def _cmd_sweep(args) -> int:
-    conf = _sweep_settings(args)
-    seed = _integer(conf["seed"], "seed", 0, _SEED_MAX)
-    selectors = [_parse_kernel_token(tok, seed, pos)
-                 for pos, tok in enumerate(conf["kernels"])]
-    records = run_sweep(SweepConfig(**{**conf, "kernels": selectors}))
+    seed = _integer(args.seed, "seed", 0, _SEED_MAX)
+    selectors = [_parse_kernel_token(tok, seed, pos) for pos, tok in enumerate(args.kernels)]
+    records = run_sweep(SweepConfig(args.dimensions, selectors, args.trials, seed,
+                                    workers=args.workers, z=args.z, method=args.method))
 
     by_label = {sel.describe(): sel for sel in selectors}
     rows = []
@@ -307,9 +263,7 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> argparse._MutuallyExcl
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags of one seeded estimate, shared by ``estimate`` and ``state``."""
-    parser.add_argument("--n", type=int, required=True, metavar="N")
-    _add_family_flags(parser)
+    """The flags of a seeded sampling run, shared by ``estimate``, ``state`` and ``sweep``."""
     parser.add_argument("--trials", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=1,
@@ -339,6 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel.set_defaults(handler=_cmd_kernel)
 
     p_est = sub.add_parser("estimate", help="Monte Carlo negativity probability of random states")
+    p_est.add_argument("--n", type=int, required=True, metavar="N")
+    _add_family_flags(p_est)
     _add_run_flags(p_est)
     p_est.add_argument("--method", choices=METHODS, default=METHODS[0])
     p_est.add_argument("--oracle", action="store_true", help="fill the oracle_value column")
@@ -346,19 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(handler=_cmd_estimate)
 
     p_sweep = sub.add_parser("sweep", help="estimate a grid of (N, kernel) points")
-    p_sweep.add_argument("--config", metavar="FILE", default=None,
-                         help="JSON file with dimensions/kernels/trials/seed/workers/z/method")
-    p_sweep.add_argument("--n", dest="dimensions", metavar="LIST", default=None,
+    p_sweep.add_argument("--n", dest="dimensions", metavar="LIST", required=True,
                          type=_parse_dimensions,
                          help="comma-separated dimensions, e.g. 2,4,8 (empty for none)")
-    p_sweep.add_argument("--kernels", metavar="LIST", default=None,
+    p_sweep.add_argument("--kernels", metavar="LIST", required=True,
                          type=lambda text: [t for t in text.split(",") if t.strip()],
                          help="comma-separated kernel tokens: k=INT, random, random=SEED")
-    p_sweep.add_argument("--trials", type=int, default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--method", choices=METHODS, default=None)
-    p_sweep.add_argument("--workers", type=int, default=None)
-    p_sweep.add_argument("--z", type=float, default=None)
+    _add_run_flags(p_sweep)
+    p_sweep.add_argument("--method", choices=METHODS, default=METHODS[0])
     p_sweep.add_argument("--oracle", action="store_true",
                          help="add exact oracle values per row (beta closed form or CF inversion)")
     _add_output_flags(p_sweep)
@@ -379,6 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(handler=_cmd_oracle)
 
     p_state = sub.add_parser("state", help="phase-space negativity volume of one state")
+    p_state.add_argument("--n", type=int, required=True, metavar="N")
+    _add_family_flags(p_state)
     _add_run_flags(p_state)
     state_group = p_state.add_mutually_exclusive_group(required=True)
     state_group.add_argument("--maximally-mixed", action="store_true")

@@ -197,39 +197,49 @@ def _checked(weights, shapes, tol: float) -> tuple[np.ndarray, np.ndarray, float
     s = np.asarray(shapes, dtype=float)
     if w.ndim != 1 or w.shape != s.shape:
         raise ValueError(f"weights {w.shape} and shapes {s.shape} must be 1-D of equal length")
+    # the power of two that takes max |w_j| into [1/2, 1) scales exactly, so no sum of squares
+    # overflows or underflows and ordinary scales are bit-identical; NaN and inf scale by 1
+    top = max(w.max(), -w.min())
+    scaled = np.ldexp(w, -math.frexp(top)[1])
+    lost = (scaled == 0.0) != (w == 0.0)
+    if lost.any():
+        raise ValueError(f"weights {w[lost].tolist()} underflow to 0 beside max |w| {float(top)!r}")
     # min and max propagate NaN, which fails every comparison
-    if not -math.inf < w.min() < 0.0 < w.max() < math.inf:
+    if not -math.inf < scaled.min() < 0.0 < scaled.max() < math.inf:
         raise ValueError("weights must be finite with at least one of each sign")
     if not 0.0 < s.min() <= s.max() < math.inf:
         raise ValueError("shapes must be finite and positive")
-    # the power of two that takes max |w_j| into [1/2, 1) scales exactly, so no sum of
-    # squares overflows or underflows and results at ordinary scales are bit-identical
-    w = np.ldexp(w, -math.frexp(max(w.max(), -w.min()))[1])
-    return w, s, _real(tol, "tol", finite=False)
+    return scaled, s, _real(tol, "tol", finite=False)
 
 
 def _beta_else_cf(w: np.ndarray, s: np.ndarray, tol: float) -> OracleResult:
     """The core of :func:`negative_probability`, on inputs that pass its checks."""
     if w.size == 2:
-        from scipy.special import betaincc, betaln
-
         order = 1 if w[0] > 0.0 else -1  # Python floats from here: the same IEEE operations
-        (wp, wn), (sp, sn) = w.tolist()[::order], s.tolist()[::order]
-        y = wp / (wp - wn)
-        if y < 1.0:
-            log_x, reach = math.log1p(-y), 0.0
-        else:
-            # |w-| is below half an ulp of w+, so y rounds to 1 and the value to 0, off by
-            # all of I_x(s+, s-) <= pdf(y) x / s+ at x = |w-| / (w+ + |w-|), taken directly
-            x = -wn / (wp - wn)
-            log_x, reach = (math.log(x) if x > 0.0 else -math.inf), x / sp
-        log_pdf = (sn - 1.0) * math.log(y) + (sp - 1.0) * log_x - betaln(sn, sp)
-        pdf = float(np.exp(log_pdf)) if log_pdf < 709.0 else math.inf  # NaN included
-        bound = _BETA_ERROR + max(pdf * 4.0 * _EPS * y, pdf * reach)
-        if bound <= tol:
-            value = float(betaincc(sn, sp, y))
-            return OracleResult(value=value, method="beta-closed-form", estimated_abs_error=bound)
+        result = _beta(*w.tolist()[::order], *s.tolist()[::order], tol)
+        if result is not None:
+            return result
     return _cf_inversion(w, s, tol)
+
+
+def _beta(wp: float, wn: float, sp: float, sn: float, tol: float) -> OracleResult | None:
+    """The beta form at weights wp > 0 > wn, shapes (sp, sn), or None if its bound is over tol."""
+    from scipy.special import betaincc, betaln
+
+    y = wp / (wp - wn)
+    if y < 1.0:
+        log_x, reach = math.log1p(-y), 0.0
+    else:
+        # |w-| is below half an ulp of w+, so y rounds to 1 and the value to 0, off by
+        # all of I_x(s+, s-) <= pdf(y) x / s+ at x = |w-| / (w+ + |w-|), taken directly
+        x = -wn / (wp - wn)
+        log_x, reach = (math.log(x) if x > 0.0 else -math.inf), x / sp
+    log_pdf = (sn - 1.0) * math.log(y) + (sp - 1.0) * log_x - betaln(sn, sp)
+    pdf = float(np.exp(log_pdf)) if log_pdf < 709.0 else math.inf  # NaN included
+    bound = _BETA_ERROR + max(pdf * 4.0 * _EPS * y, pdf * reach)
+    if bound <= tol:
+        return OracleResult(float(betaincc(sn, sp, y)), "beta-closed-form", bound)
+    return None
 
 
 def two_block_exact(n_levels: int, k: int, tol: float = 1e-10) -> OracleResult:
@@ -244,8 +254,10 @@ def two_block_exact(n_levels: int, k: int, tol: float = 1e-10) -> OracleResult:
     of opposite sign by construction.
     """
     n, k, a, b = _two_block(n_levels, k)
-    return _beta_else_cf(np.array((a, b)), np.array((n * (n - k), n * k), dtype=float),
-                         _real(tol, "tol", finite=False))
+    tol = _real(tol, "tol", finite=False)
+    shapes = float(n * (n - k)), float(n * k)
+    result = _beta(a, b, *shapes, tol)
+    return _cf_inversion(np.array((a, b)), np.array(shapes), tol) if result is None else result
 
 
 def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleResult:

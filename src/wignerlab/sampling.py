@@ -1,13 +1,13 @@
-"""Random states, random unitaries, and Wigner values.
+"""Batched draws of random states and unitaries, and Wigner values.
 
 Complex normal convention: real and imaginary parts of every Ginibre entry
 are independent standard normals (each variance 1), so |z_ij|^2 is
 chi-square with 2 degrees of freedom and mean 2.
 
-Ginibre draws consume 2 N^2 standard normals per matrix in a fixed order:
-row-major over entries, real part then imaginary part.  The batch variants
-draw sample-major in the same per-matrix order, so a batch of one is
-bit-identical to a single draw from the same stream.
+Ginibre draws consume 2 N^2 standard normals per matrix, sample-major, then
+row-major over entries, real part then imaginary part, so a batch of `count`
+matrices draws the numbers of `count` batches of one in turn; a single draw
+is ``ginibre_batch(1, n, rng)[0]`` or ``haar_batch(1, n, rng)[0]``.
 """
 from __future__ import annotations
 
@@ -15,15 +15,13 @@ import math
 
 import numpy as np
 
-from .kernels import KernelSpectrum, _integer
+from .kernels import KernelSpectrum
 
 __all__ = [
-    "sample_ginibre",
     "ginibre_batch",
     "hs_state",
     "row_energies_batch",
     "gamma_batch",
-    "haar_unitary",
     "haar_batch",
     "wigner_value",
 ]
@@ -33,11 +31,6 @@ def ginibre_batch(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of `count` Ginibre matrices, shape (count, n, n) complex."""
     g = rng.standard_normal((count, n, n, 2))
     return g[..., 0] + 1j * g[..., 1]
-
-
-def sample_ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One n x n Ginibre matrix: i.i.d. standard-normal real and imaginary parts."""
-    return ginibre_batch(1, _integer(n, "N", 1), rng)[0]
 
 
 def hs_state(z: np.ndarray) -> np.ndarray:
@@ -80,11 +73,6 @@ def haar_batch(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
     # fix the QR gauge: rotate columns so R has positive real diagonal
     q = q * (d / np.abs(d))[:, None, :]
     return q
-
-
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary via QR of a Ginibre matrix with phase fix."""
-    return haar_batch(1, _integer(n, "N", 1), rng)[0]
 
 
 def wigner_value(rho: np.ndarray, spectrum: KernelSpectrum, unitary: np.ndarray):

@@ -21,7 +21,7 @@ from wignerlab.oracles import (
     limit_quantumness,
     two_block_exact,
 )
-from wignerlab.sampling import ginibre_batch, haar_unitary, wigner_value
+from wignerlab.sampling import ginibre_batch, haar_batch, wigner_value
 
 LIMIT = 0.15865525393145705
 
@@ -138,7 +138,7 @@ def test_09_phase_space_point_independence():
     """The share of 1e5 Hilbert-Schmidt states with a negative symbol is the
     same at the identity and at a Haar-random point (overlapping 3-sigma bands)."""
     spec = two_block_spectrum(4, 1)
-    u0 = haar_unitary(4, np.random.default_rng(7))
+    u0 = haar_batch(1, 4, np.random.default_rng(7))[0]
     bands = []
     for seed, point in ((501, np.eye(4)), (502, u0)):
         z = ginibre_batch(10**5, 4, np.random.default_rng(seed))

@@ -3,10 +3,12 @@ import io
 import json
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
+from wignerlab import montecarlo
 from wignerlab.cli import CSV_COLUMNS, load_state_file, main
 from wignerlab.oracles import two_block_exact
 
@@ -186,68 +188,6 @@ class TestSweepCommand:
         assert rows1[0][2].startswith("random s=")
         assert rows1[0][2] == rows2[0][2]  # derived from the master seed, so stable
 
-    def test_config_file_matches_flags(self, capsys, tmp_path):
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({"dimensions": [2], "kernels": ["k=1"],
-                                   "trials": 5000, "seed": 3}))
-        _, out_cfg, _ = run_cli(capsys, "sweep", "--config", str(cfg))
-        _, out_flags, _ = run_cli(capsys, "sweep", "--n", "2", "--kernels", "k=1",
-                                  "--trials", "5000", "--seed", "3")
-        wall = CSV_COLUMNS.index("wall_time_s")
-        _, rows_cfg = parse_csv(out_cfg)
-        _, rows_flags = parse_csv(out_flags)
-        assert rows_cfg[0][:wall] == rows_flags[0][:wall]
-
-    def test_flags_override_config(self, capsys, tmp_path):
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({"dimensions": [2], "kernels": ["k=1"],
-                                   "trials": 5000, "seed": 3}))
-        code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--trials", "100")
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert rows[0][CSV_COLUMNS.index("trials")] == "100"
-
-    def test_config_unknown_key(self, capsys, tmp_path):
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps({"dimensions": [2], "kernels": ["k=1"],
-                                   "trials": 10, "seed": 0, "colour": "red"}))
-        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
-        assert code == 2
-        assert "colour" in err
-
-    @pytest.mark.parametrize("key,value", [
-        ("dimensions", [2.9]),
-        ("dimensions", 2),
-        ("dimensions", [True]),
-        ("kernels", ["k=1", 3]),
-        ("kernels", "k=1"),
-        ("trials", 100.7),
-        ("trials", True),
-        ("seed", 1.5),
-        ("workers", "2"),
-        ("z", "3"),
-        ("z", False),
-        ("method", 1),
-    ])
-    def test_config_value_types(self, capsys, tmp_path, key, value):
-        conf = {"dimensions": [2], "kernels": ["k=1"], "trials": 100, "seed": 1}
-        conf[key] = value
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps(conf))
-        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert repr(key) in err
-
-    def test_config_must_be_object(self, capsys, tmp_path):
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text("[1, 2]")
-        assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 2
-
-    def test_missing_config_file(self, capsys, tmp_path):
-        code, _, _ = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.json"))
-        assert code == 3
-
     def test_oracle_column_covers_random_kernels(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--n", "3", "--kernels", "k=1,random=11",
                                "--trials", "1024", "--seed", "2", "--oracle")
@@ -293,7 +233,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("argv,fragment", [
         (["--n", "2,x", "--kernels", "k=1"], "cannot parse dimension list '2,x'"),
-        (["--kernels", "k=1"], "sweep needs --n"),
+        (["--kernels", "k=1"], "required: --n"),
         (["--n", "2", "--kernels", "k=abc"], "cannot parse kernel token 'k=abc'"),
         (["--n", "2", "--kernels", "random", "--seed", "-1"],
          "seed must be an integer in [0, 18446744073709551615], got -1"),
@@ -306,6 +246,17 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", *argv, "--trials", "10")
         assert code == 2 and out == ""
         assert fragment in err
+
+    def test_defaults(self, capsys, monkeypatch):
+        """Left out, --seed, --method, --workers and --z take their documented defaults:
+        with the clock stopped, every output format is the same byte for byte."""
+        monkeypatch.setattr(montecarlo, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        argv = ("sweep", "--n", "2,3", "--kernels", "k=1,random", "--trials", "1000")
+        explicit = ("--seed", "0", "--method", "fast-gamma", "--workers", "1", "--z", "1.96")
+        for fmt in ("csv", "json", "pretty"):
+            bare = run_cli(capsys, *argv, "--format", fmt)
+            assert bare[0] == 0 and bare[1].count("\n") > 4
+            assert bare == run_cli(capsys, *argv, *explicit, "--format", fmt)
 
     def test_derived_seeds_pinned(self, capsys):
         """Sweep point seeds and the seed of a bare random token come from the master seed."""

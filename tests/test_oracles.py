@@ -437,8 +437,9 @@ class TestNegativeProbability:
         (((1.0, -1.0),), ((1.0, 2.0),), 1e-10, "1-D"),
         ((1.0, -1.0), (1.0, 2.0), math.nan, "tol"),
         ((1.0, -1.0), (1.0, 2.0), 0.0, "tol"),
+        ((1e300, -1e-30), (1.0, 1.0), 1e-10, "underflow"),
     ], ids=["lengths", "nan-weight", "inf-weight", "zero-shape", "negative-shape", "nan-shape",
-            "one-sign", "two-dimensional", "nan-tol", "zero-tol"])
+            "one-sign", "two-dimensional", "nan-tol", "zero-tol", "underflowing-weight"])
     def test_invalid_inputs(self, weights, shapes, tol, fragment):
         with pytest.raises(ValueError, match=fragment):
             negative_probability(weights, shapes, tol)

@@ -8,10 +8,8 @@ from wignerlab.sampling import (
     gamma_batch,
     ginibre_batch,
     haar_batch,
-    haar_unitary,
     hs_state,
     row_energies_batch,
-    sample_ginibre,
     wigner_value,
 )
 
@@ -22,32 +20,15 @@ def _intervals_overlap(a, b):
 
 class TestGinibre:
     def test_repeatable_under_seed(self):
-        z1 = sample_ginibre(3, np.random.default_rng(5))
-        z2 = sample_ginibre(3, np.random.default_rng(5))
+        z1 = ginibre_batch(1, 3, np.random.default_rng(5))
+        z2 = ginibre_batch(1, 3, np.random.default_rng(5))
         assert np.array_equal(z1, z2)
-
-    def test_batch_of_one_matches_single_draw(self):
-        """The batch variant consumes the stream exactly like repeated single
-        draws, so a batch of one is bit-identical to one draw."""
-        single = sample_ginibre(4, np.random.default_rng(12))
-        batch = ginibre_batch(1, 4, np.random.default_rng(12))[0]
-        assert np.array_equal(single, batch)
 
     def test_component_moments(self):
         z = ginibre_batch(10**5, 2, np.random.default_rng(1))
         re11 = z[:, 0, 0].real
         assert abs(re11.mean()) < 0.01
         assert abs(re11.var(ddof=1) - 1.0) < 0.02
-
-    def test_rejects_nonpositive_dimension(self):
-        with pytest.raises(ValueError):
-            sample_ginibre(0, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("draw", [sample_ginibre, haar_unitary])
-    @pytest.mark.parametrize("n", [2.5, True])
-    def test_rejects_non_integral_dimension(self, draw, n):
-        with pytest.raises(ValueError, match="N must be"):
-            draw(n, np.random.default_rng(0))
 
 
 class TestHsState:
@@ -72,7 +53,7 @@ class TestHsState:
     def test_invariants_on_random_draws(self, n):
         rng = np.random.default_rng(n)
         for _ in range(1000):
-            rho = hs_state(sample_ginibre(n, rng))
+            rho = hs_state(ginibre_batch(1, n, rng)[0])
             assert abs(np.trace(rho).real - 1.0) < 1e-12
             assert np.abs(rho - rho.conj().T).max() < 1e-12
             assert np.linalg.eigvalsh(rho).min() >= -1e-10
@@ -118,17 +99,12 @@ class TestRowEnergies:
 class TestHaar:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 21])
     def test_unitarity(self, n):
-        u = haar_unitary(n, np.random.default_rng(n + 100))
+        u = haar_batch(1, n, np.random.default_rng(n + 100))[0]
         assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-10
 
     def test_n1_is_a_phase(self):
-        u = haar_unitary(1, np.random.default_rng(9))
+        u = haar_batch(1, 1, np.random.default_rng(9))[0]
         assert abs(abs(u[0, 0]) - 1.0) < 1e-12
-
-    def test_batch_matches_single(self):
-        single = haar_unitary(3, np.random.default_rng(14))
-        batch = haar_batch(1, 3, np.random.default_rng(14))[0]
-        assert np.array_equal(single, batch)
 
     def test_overlap_uniform_at_n2(self):
         # |U_11|^2 for Haar at N=2 is uniform on [0,1]
@@ -140,7 +116,7 @@ class TestHaar:
 class TestWignerValue:
     def test_maximally_mixed_is_inverse_dimension(self):
         spec = two_block_spectrum(4, 2)
-        u = haar_unitary(4, np.random.default_rng(2))
+        u = haar_batch(1, 4, np.random.default_rng(2))[0]
         w = wigner_value(np.eye(4) / 4, spec, u)
         assert w == pytest.approx(0.25, abs=1e-12)
 
@@ -155,9 +131,9 @@ class TestWignerValue:
         unitary leaves the symbol unchanged."""
         rng = np.random.default_rng(7)
         spec = two_block_spectrum(3, 1)
-        rho = hs_state(sample_ginibre(3, rng))
-        u = haar_unitary(3, rng)
-        g = haar_unitary(3, rng)
+        rho = hs_state(ginibre_batch(1, 3, rng)[0])
+        u = haar_batch(1, 3, rng)[0]
+        g = haar_batch(1, 3, rng)[0]
         w1 = wigner_value(rho, spec, u)
         w2 = wigner_value(g @ rho @ g.conj().T, spec, g @ u)
         assert w1 == pytest.approx(w2, abs=1e-10)
@@ -166,7 +142,7 @@ class TestWignerValue:
         """Stacks of states and of points broadcast to the traces tr(rho U P U^dagger)."""
         rng = np.random.default_rng(12)
         spec = two_block_spectrum(3, 1)
-        states = np.stack([hs_state(sample_ginibre(3, rng)) for _ in range(4)])
+        states = np.stack([hs_state(ginibre_batch(1, 3, rng)[0]) for _ in range(4)])
         points = haar_batch(5, 3, rng)
         p = np.diag(spec.expanded())
         traces = np.array([[np.trace(r @ u @ p @ u.conj().T).real for u in points] for r in states])
@@ -184,6 +160,6 @@ class TestWignerValue:
     def test_imaginary_residue_flagged(self):
         spec = two_block_spectrum(2, 1)
         skew = np.array([[0.5, 1j], [-1j * 0.999, 0.5]])  # not Hermitian
-        u = haar_unitary(2, np.random.default_rng(11))
+        u = haar_batch(1, 2, np.random.default_rng(11))[0]
         with pytest.raises(ValueError, match="imaginary"):
             wigner_value(skew, spec, u)
