@@ -229,6 +229,8 @@ def _cmd_oracle(args) -> int:
         raise ConvergenceError(
             f"{result.method} error bound {result.estimated_abs_error:.3e} exceeds tol {args.tol:.3e}")
     row = {key: getattr(result, key) for key in ORACLE_COLUMNS}
+    if result.diagnostics is not None:  # JSON only: the CSV and pretty columns stay as they are
+        row["diagnostics"] = result.diagnostics
     _emit(_render([row], ORACLE_COLUMNS, args.format, single=True), args.out)
     return 0
 

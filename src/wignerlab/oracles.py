@@ -24,18 +24,24 @@ so one fixed trapezoid sum at step 1/2 over |y| <= 13 meets an a-priori bound
 The CF inversion is Davies' half-offset trapezoid rule (Davies 1973,
 Biometrika 60; Algorithm AS 155, 1980) on the unit-variance variable
 X = S / sigma, so its nodes are spaced alike at every N.  Its reported error
-is the sum of three explicit bounds: aliasing, from Bernstein tails of X;
-truncation, from the power-law envelope of the characteristic function; and
-roundoff, from the size of the phase sums.  A closed-form envelope of |phi|
-sizes its first scan of nodes, so that one scan finds the truncation point
-unless the tail is heavy.  Both exact routes agree with a 40-digit
-binomial-sum reference up to N = 16384 within their reported bounds.
+is the sum of explicit bounds: aliasing, from Bernstein tails of X;
+truncation, from the power-law envelope of the characteristic function;
+roundoff, from the size of the phase sums and the depth of numpy's pairwise
+sums; and, where the first scan sums a power series, that series' tail.  A
+closed-form envelope of |phi| sizes its first scan of nodes, so that one scan
+finds the truncation point unless the tail is heavy.  Where the weights are
+many and every |w_j u| / sigma stays small over that scan, log phi is a power
+series in u whose coefficients are the power sums sum_j s_j (w_j / sigma)^p,
+so the first scan costs one pass over the weights per term instead of one per
+node.  Both exact routes agree with a 40-digit binomial-sum reference up to
+N = 16384 within their reported bounds.
 
 Each front end checks its inputs once, at its boundary, and the cores behind
 it check nothing again.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -67,6 +73,15 @@ _BLOCK_ELEMENTS = 1 << 14
 # weights from which the CF route sums each node's weights along a contiguous row;
 # fewer weights are laid along the node axis and summed across it
 _NODE_MAJOR_FROM = 8
+
+# weights a term of the cumulant series must have for the CF route's first scan to sum
+# it; with fewer, its fixed cost outweighs what it saves (random kernels at N = 64 need
+# about 32 terms and ran slower on it)
+_WEIGHTS_PER_TERM = 8
+
+# bound on the series' truncation error T(u) of log phi at the first scan's last node, by
+# which its length P is chosen; far below the rounding of any weight sum
+_SERIES_TAIL = 2.0**-60
 
 # trapezoid nodes past which the CF route raises instead of evaluating; the cap node
 # alone is checked, only once the first scan falls short, and before any node past
@@ -106,9 +121,11 @@ class OracleResult:
         What the quadrature did, read-only; left out of equality and hashing.
         The CF inversion gives ``sigma``, ``mean``, ``L``, ``K``, ``first_scan``
         (its length in nodes), ``nodes`` (all evaluated, the cap probe
-        included; a scan stops at the end of the block that holds K, so this
-        follows the block size), ``rounds`` (scans, the cap probe included) and
-        the ``aliasing``, ``truncation`` and ``roundoff`` bounds; through
+        included; a scan of the grid stops at the end of the block that holds
+        K, so this follows the block size), ``rounds`` (scans, the cap probe
+        included), ``series_terms`` (the power series' terms P if the first
+        scan summed it, else 0) and the ``aliasing``, ``truncation``,
+        ``roundoff`` and ``series`` bounds, which sum to the error; through
         :func:`negative_probability`, ``sigma`` is that of the weights scaled so
         that the largest |w_j| lies in [1/2, 1).  The normal-reduction
         quadrature gives its ``quadrature``, ``truncation`` and ``roundoff``
@@ -275,17 +292,37 @@ def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleRe
 
     with log |phi|, arg phi and their sizes summed in real arithmetic over one
     stacked grid of nodes and weights, weights-major below 8 weights and
-    node-major from 8 on, in blocks of at most 2^14 grid elements.  The error
-    is bounded by three terms, whose sum must not exceed ``tol``:
+    node-major from 8 on, in blocks of at most 2^14 grid elements.
+
+    The first scan sums the cumulant series instead where it converges fast
+    and the weights are many.  With v_j = w_j / sigma, S_p = sum_j s_j v_j^p
+    and A_p = sum_j s_j |v_j|^p, log phi(u) = sum_p S_p (iu)^p / p: the even
+    p give log |phi|, the odd p the phase, and the slope below is the sum over
+    even p of (-1)^(p/2+1) S_p u^p.  As A_p <= m^(p-2), m = max_j |v_j|, the
+    terms past P sum to at most T(u) = u^2 rho^(P-1) / ((P+1)(1 - rho)),
+    rho = m u.  The series runs where, at the first scan's last node,
+    rho <= 1/2 and the smallest P with T <= 2^-60 leaves at least 8 weights a
+    term; it costs P products and sums over the weights, then one small
+    matrix product for all nodes of the scan.  Every later round takes the
+    grid, as does every input with fewer than 16 weights.  The error is
+    bounded by four terms, whose sum must not exceed ``tol``:
 
     * aliasing, at most P(X < -L) + P(X > L); L comes in closed form from the
       Bernstein tails of X - E X (variance 1, scale max w_j / sigma on the
       right and max |w_j| / sigma on the left) for a bound of tol/4;
     * truncation, at most |phi(u_K)| / (pi gamma) by the power-law envelope of
       slope gamma = sum_j s_j z_j^2 / (1 + z_j^2), z_j = w_j u_K / sigma; K is
-      the first node where this is at most tol/4;
+      the first node where this is at most tol/4.  The series takes gamma
+      less its truncation and rounding errors, and those of log |phi| too, so
+      its bound stays an upper bound;
     * roundoff, eps times the size of the summed terms, phase sums
-      sum_j s_j |arctan z_j| included, times the rounding depth of the sums.
+      sum_j s_j |arctan z_j| included, times 4 plus the depths of numpy's
+      pairwise sums over the weights and over the nodes.  For the series, the
+      size is its rounding bound: (p + D) eps A_p for each S_p, D the depth
+      over the weights, and (p + P + 2) eps |S_p| for its factor, power and
+      product;
+    * series, expm1(T) at the first scan's last node times the size of the
+      summed terms; 0 where the grid ran.
 
     K is the first node, scanned from 0, where the computed truncation bound
     passes.  The first scan covers the nodes a normal X needs, or more where
@@ -322,6 +359,103 @@ def _envelope(u: float, top2: float) -> float:
     return (1.0 + top2 * u * u) ** (1.0 - 0.5 / top2) / (math.pi * u * u)
 
 
+@functools.lru_cache(maxsize=256)
+def _sum_depth(n: int) -> int:
+    """The most additions that a term of numpy's pairwise sum of n terms passes through.
+
+    It mirrors numpy's ``pairwise_sum``: fewer than 8 terms are added in turn onto 0;
+    up to 128 are added in turn onto 8 accumulators, which are then added in 3 levels,
+    and the last n % 8 in turn; longer runs are split at the multiple of 8 at or below
+    their middle.  The sum of n terms x_j is within _sum_depth(n) eps sum_j |x_j| of
+    the exact one, to first order.
+    """
+    if n < 8:
+        return max(n - 1, 0)
+    if n <= 128:
+        return n // 8 + 2 + n % 8
+    half = n // 2 - n // 2 % 8
+    return 1 + max(_sum_depth(half), _sum_depth(n - half))
+
+
+def _series_terms(largest: float, u: float, most: int) -> int:
+    """Terms P of log phi's power series for the CF route's first scan, or 0 for the grid.
+
+    P is the smallest of 2..``most`` whose truncation bound
+    T(u) = u^2 rho^(P-1) / ((P+1)(1 - rho)), rho = largest u, is at most 2^-60 at the
+    first scan's last node u; 0 where rho > 1/2 or no P up to ``most`` passes.
+    """
+    rho = largest * u
+    # T falls as P grows, so if the most terms allowed fail, all do
+    if rho > 0.5 or u * u * rho ** (most - 1) > _SERIES_TAIL * (most + 1) * (1.0 - rho):
+        return 0
+    tail = u * u / (1.0 - rho)
+    for terms in range(2, most + 1):
+        tail *= rho
+        if tail <= _SERIES_TAIL * (terms + 1):
+            return terms
+    return 0
+
+
+@functools.lru_cache(maxsize=64)
+def _series_pattern(terms: int, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`_series` needs of P and D alone, read-only: the factors of S_p in
+    its first three rows, the weights of A_p and |S_p| in its error size, and the
+    exponents p - 2 of its bound on A_p."""
+    p = np.arange(1.0, terms + 1.0)
+    # i^p = real + i imag at p = 1, 2, 3, 4, 5, ...
+    powers_of_i = np.array(((0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)))
+    real, imag = powers_of_i[np.arange(terms) % 4].T
+    parts = (np.stack((-2.0 * real / p, -real, imag / p)),
+             np.stack((p + depth + 1.0, p + terms + 3.0)) / (p * (4.0 + depth)), p - 2.0)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
+def _series(v: np.ndarray, shapes: np.ndarray, terms: int, largest: float,
+            u: float) -> tuple[np.ndarray, float]:
+    """log phi's power series for the CF route's first scan, whose last node is u.
+
+    With S_p = sum_j s_j v_j^p, log phi(u) = sum_p S_p (iu)^p / p.  Returns the
+    (4, P) matrix whose product with a node's powers u, u^2, ..., u^P gives the
+    grid's four sums there, and T(u), the bound on the terms past P at the last
+    node, which holds at every node before it.  The four rows give, in turn:
+
+    * sum_j s_j log1p(z_j^2) = -2 Re log phi, from the even p;
+    * a lower bound on the slope gamma, whose series is the sum over even p of
+      (-1)^(p/2+1) S_p u^p: its u^2 coefficient is lowered by enough to cover the
+      truncation and rounding of both the slope and log |phi|, so that
+      |phi| / (pi gamma) computed from it bounds the true one from above;
+    * the phase Im log phi, from the odd p;
+    * an error size: the bound on the error of log phi (both parts) over
+      eps (4 + D), so that the grid's roundoff rule, which charges
+      eps (4 + D + node depth) times it, covers it.  With A_p = sum_j s_j |v_j|^p,
+      which is at most largest^(p-2) from p = 2 on, each S_p is within (p + D) eps A_p
+      of its value, D the depth of the pairwise sum over the weights and p the
+      products that make s_j v_j^p; the factor, the power u^p and the product
+      matrix, in any summation order, add (p + P + 2) eps |S_p|.  One more eps a
+      term covers second-order effects.
+    """
+    depth = _sum_depth(v.size)
+    table = np.empty((terms, v.size))
+    np.multiply(shapes, v, out=table[0])
+    for row in range(1, terms):
+        np.multiply(table[row - 1], v, out=table[row])
+    sums = np.add.reduce(table, axis=1)
+    factors, weights, exponents = _series_pattern(terms, depth)
+    bound = largest ** exponents
+    bound[0] = np.add.reduce(np.absolute(table[0]))  # A_1
+    coefficients = np.vstack((factors * sums, weights[0] * bound + weights[1] * np.absolute(sums)))
+    # the slope's truncation r u^2 and rounding, and log |phi|'s truncation T and rounding
+    # times the slope, at most 2 u^2; the roundings are within eps (2P + D + 4) and
+    # eps (P + D + 8) / 2 times the sum over even p of A_p u^p, at most u^2 / (1 - rho^2)
+    rho = largest * u
+    ratio = rho ** (terms - 1) / (1.0 - rho)
+    coefficients[1, 1] -= (ratio * (1.0 + 2.0 * u * u / (terms + 1))
+                           + _EPS * (2 * terms + depth + 8) * (1.0 + u * u) / (1.0 - rho * rho))
+    return coefficients, u * u * ratio / (terms + 1)
+
+
 def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> OracleResult:
     sigma = math.sqrt(float(shapes @ (weights * weights)))
     w = weights / sigma
@@ -340,29 +474,35 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
     def nodes(first: int, stop: int) -> tuple[np.ndarray, ...]:
         """Term, rounding size, truncation bound and slope at nodes first..stop-1.
 
-        The four weight sums, of log1p(z^2), z^2 / (1 + z^2), arctan z and
-        |arctan z| times s_j over z = w u / sigma, come from one stacked grid.
-        From 8 weights on each node's sum runs along a contiguous row, pairwise;
-        with fewer, the grid is weights-major and the sum runs across the node
-        axis, left to right, which is the order numpy's pairwise sum takes below
-        8 terms, so both layouts give the same bits.  Either way a node's values
-        do not depend on the other nodes evaluated with it.
+        Four sums over the weights give them: of log1p(z^2), z^2 / (1 + z^2),
+        arctan z and |arctan z| times s_j over z = w u / sigma.  On a first scan
+        that takes the series, ``_series`` gives them from the node's powers u^p.
+        Otherwise they come from one stacked grid.  From 8 weights on each node's
+        sum runs along a contiguous row, pairwise; with fewer, the grid is
+        weights-major and the sum runs across the node axis, left to right, which
+        is the order numpy's pairwise sum takes below 8 terms, so both layouts give
+        the same bits.  Either way a node's values do not depend on the other
+        nodes evaluated with it.
         """
         half = np.arange(first + 0.5, stop)
-        grid = np.empty((4, half.size, w.size) if by_node else (4, w.size, half.size))
-        logs, ratio, angle, size = grid  # z, z^2 and 1 + z^2 pass through these rows too
-        if by_node:
-            np.multiply.outer(half * step, w, out=angle)
+        if summed:
+            log_size, slope, phase, phase_size = coefficients @ np.power(
+                half * step, np.arange(1.0, terms + 1.0)[:, None])
         else:
-            np.multiply.outer(w, half * step, out=angle)
-        np.multiply(angle, angle, out=ratio)
-        np.log1p(ratio, out=logs)
-        np.divide(ratio, np.add(1.0, ratio, out=size), out=ratio)
-        np.arctan(angle, out=angle)
-        # arctan z_j has the sign of w_j, so |arctan z_j| s_j sums the phase's sizes
-        np.absolute(angle, out=size)
-        grid *= weighting
-        log_size, slope, phase, phase_size = np.add.reduce(grid, axis=axis)
+            grid = np.empty((4, half.size, w.size) if by_node else (4, w.size, half.size))
+            logs, ratio, angle, size = grid  # z, z^2 and 1 + z^2 pass through these rows too
+            if by_node:
+                np.multiply.outer(half * step, w, out=angle)
+            else:
+                np.multiply.outer(w, half * step, out=angle)
+            np.multiply(angle, angle, out=ratio)
+            np.log1p(ratio, out=logs)
+            np.divide(ratio, np.add(1.0, ratio, out=size), out=ratio)
+            np.arctan(angle, out=angle)
+            # arctan z_j has the sign of w_j, so |arctan z_j| s_j sums the phase's sizes
+            np.absolute(angle, out=size)
+            grid *= weighting
+            log_size, slope, phase, phase_size = np.add.reduce(grid, axis=axis)
         log_mod = -0.5 * log_size
         mod = np.exp(log_mod)
         scale = mod / (math.pi * half)
@@ -392,12 +532,22 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
             stop, reach = (stop, mid) if _envelope((mid - 0.5) * step, top2) <= target else (mid, reach)
         stop = reach
     first_scan = stop
-    terms, sizes = [], []
+    # where the series converges fast over the first scan and has enough weights a term,
+    # that scan sums it in one block; every later round, and every other input, takes the grid
+    terms, block = 0, per_block
+    if w.size > _WEIGHTS_PER_TERM:  # a series has two terms at least
+        largest, u_last = max(top, -bottom), (stop - 0.5) * step
+        terms = _series_terms(largest, u_last, w.size // _WEIGHTS_PER_TERM)
+        if terms:
+            coefficients, series_tail = _series(w, shapes, terms, largest, u_last)
+            block = stop
+    summed = terms > 0
+    parts, sizes = [], []
     first = evaluated = 0
     rounds = 1
     while True:
-        term, rounding, tail, slope = nodes(first, min(first + per_block, stop))
-        terms.append(term)
+        term, rounding, tail, slope = nodes(first, min(first + block, stop))
+        parts.append(term)
         sizes.append(rounding)
         evaluated += term.size
         hit = (tail <= target).nonzero()[0]
@@ -407,6 +557,7 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
             break
         first += term.size
         if first == stop:
+            summed, block = False, per_block
             if stop == first_scan:  # a heavier tail than the first scan allowed for
                 cap = float(nodes(_MAX_NODES - 1, _MAX_NODES)[2][0])
                 evaluated += 1
@@ -420,12 +571,15 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
                        16 * first, _MAX_NODES)
             rounds += 1
     count = last + 1
-    if len(terms) > 1:  # a one-block scan sums that block's arrays as they are
-        term, rounding = np.concatenate(terms), np.concatenate(sizes)
+    if len(parts) > 1:  # a one-block scan sums that block's arrays as they are
+        term, rounding = np.concatenate(parts), np.concatenate(sizes)
     value = 0.5 - float(term[:count].sum())
-    # four roundings a phase term, one level a pairwise sum over weights and over nodes
-    roundoff = _EPS * (4.0 + math.log2(w.size * count)) * float(rounding[:count].sum())
-    est_err = aliasing + trunc + roundoff
+    size = float(rounding[:count].sum())
+    # four roundings a phase term, and the depths of the pairwise sums over weights and nodes
+    roundoff = _EPS * (4 + _sum_depth(w.size) + _sum_depth(count)) * size
+    # the series' truncation moves each term by at most expm1(T) times its modulus
+    series = math.expm1(series_tail) * size if terms else 0.0
+    est_err = aliasing + trunc + roundoff + series
     if not est_err <= tol:
         raise failure(last, trunc, roundoff)
     if not -tol <= value <= 1.0 + tol:
@@ -436,7 +590,8 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
         estimated_abs_error=est_err,
         diagnostics={"sigma": sigma, "mean": mean, "L": half_width, "K": last,
                      "first_scan": first_scan, "nodes": evaluated, "rounds": rounds,
-                     "aliasing": aliasing, "truncation": trunc, "roundoff": roundoff},
+                     "series_terms": terms, "aliasing": aliasing, "truncation": trunc,
+                     "roundoff": roundoff, "series": series},
     )
 
 

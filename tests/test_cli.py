@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import json
 import subprocess
 import sys
@@ -306,6 +307,23 @@ class TestOracleCommand:
         assert payload == {"value": pytest.approx(0.15622696067816964988, abs=5e-13),
                            "method": "beta-closed-form",
                            "estimated_abs_error": two_block_exact(8, 2).estimated_abs_error}
+
+    def test_json_carries_diagnostics(self, capsys):
+        """JSON prints what the quadrature did under its own key; CSV keeps its three
+        columns.  A random N = 512 kernel's first scan sums the cumulant series."""
+        args = ("oracle", "--n", "512", "--random", "7")
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"value", "method", "estimated_abs_error", "diagnostics"}
+        d = payload["diagnostics"]
+        assert d["series_terms"] > 0 and d["rounds"] == 1
+        assert math.fsum(d[key] for key in ("aliasing", "truncation", "roundoff", "series")) \
+            == pytest.approx(payload["estimated_abs_error"], rel=1e-15)
+        code, out, _ = run_cli(capsys, *args)
+        header, rows = parse_csv(out)
+        assert header == ["value", "method", "estimated_abs_error"]
+        assert float(rows[0][0]) == payload["value"]
 
     def test_cf_flag_switches_method(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--n", "2", "--two-block", "1", "--cf")

@@ -41,9 +41,10 @@ BETA_REFS = {
 
 # (value, estimated_abs_error) in float hex for two_block_exact(N, k) ("beta"),
 # cf_inversion_exact(two_block_spectrum(N, k)) ("cf") and
-# cf_inversion_exact(KernelSelector.random(11).build(N)) ("cf-random").  They pin
-# the (weights, shapes) core bit for bit; a change to either route that moves a
-# value on purpose updates its pins here.
+# cf_inversion_exact(KernelSelector.random(11).build(N)) ("cf-random"; from N = 512
+# on its first scan sums the cumulant series).  They pin the (weights, shapes) core
+# bit for bit; a change to either route that moves a value on purpose updates its
+# pins here.
 ORACLE_PINS = {
     ("beta", 2, 1): ("0x1.d772e8cfeef6ap-4", "0x1.19de8b6169c17p-41"),
     ("beta", 3, 1): ("0x1.2800000000000p-3", "0x1.19cd9812dea11p-41"),
@@ -59,18 +60,20 @@ ORACLE_PINS = {
     ("beta", 2048, 1024): ("0x1.44ed07d8ae673p-3", "0x1.08afdebf73896p-40"),
     ("beta", 16384, 1): ("0x1.44ebc32c0c0e6p-3", "0x1.29006b7a3d79ap-41"),
     ("beta", 16384, 8192): ("0x1.44ed0ba84eae1p-3", "0x1.1afa2ddc24e4cp-38"),
-    ("cf", 2, 1): ("0x1.d772e8cff32ecp-4", "0x1.b7b863768e2b9p-35"),
-    ("cf", 3, 1): ("0x1.27ffffff3a502p-3", "0x1.b4704dc79a448p-35"),
-    ("cf", 8, 1): ("0x1.3c6335e767a32p-3", "0x1.ae6aa510c6abbp-35"),
-    ("cf", 8, 4): ("0x1.40fa3788e2498p-3", "0x1.0ae84574dce91p-35"),
-    ("cf", 16, 1): ("0x1.408294fc7d246p-3", "0x1.9ea0a2e879caap-35"),
-    ("cf", 16, 8): ("0x1.43f40d67775eep-3", "0x1.10c06f238a434p-35"),
-    ("cf", 64, 1): ("0x1.43bd758ede676p-3", "0x1.ec7924a0e4f24p-36"),
-    ("cf", 64, 32): ("0x1.44dd8e0f38af4p-3", "0x1.9f77c0cfd6aa5p-35"),
-    ("cf-random", 3, None): ("0x1.27fbc84d28aa8p-3", "0x1.af6847b26984bp-35"),
-    ("cf-random", 7, None): ("0x1.3dc010781dbdap-3", "0x1.4105f32808e09p-35"),
-    ("cf-random", 16, None): ("0x1.4287d62d3a26cp-3", "0x1.03a61beeb86a9p-35"),
-    ("cf-random", 64, None): ("0x1.44b9ffe7c4a8ep-3", "0x1.5073a70355d81p-35"),
+    ("cf", 2, 1): ("0x1.d772e8cff32ecp-4", "0x1.b7c3039e1ec73p-35"),
+    ("cf", 3, 1): ("0x1.27ffffff3a502p-3", "0x1.b47979eda7a60p-35"),
+    ("cf", 8, 1): ("0x1.3c6335e767a32p-3", "0x1.ae6b62f1a6f60p-35"),
+    ("cf", 8, 4): ("0x1.40fa3788e2498p-3", "0x1.0af50ab855c79p-35"),
+    ("cf", 16, 1): ("0x1.408294fc7d246p-3", "0x1.9ea9079e4caa6p-35"),
+    ("cf", 16, 8): ("0x1.43f40d67775eep-3", "0x1.10c9bd2c91887p-35"),
+    ("cf", 64, 1): ("0x1.43bd758ede676p-3", "0x1.ec9376e9f83b9p-36"),
+    ("cf", 64, 32): ("0x1.44dd8e0f38af4p-3", "0x1.9f82b901eb509p-35"),
+    ("cf-random", 3, None): ("0x1.27fbc84d28aa8p-3", "0x1.af73249b4dd62p-35"),
+    ("cf-random", 7, None): ("0x1.3dc010781dbdap-3", "0x1.410f10ddf2519p-35"),
+    ("cf-random", 16, None): ("0x1.4287d62d3a26cp-3", "0x1.03b64af7de66fp-35"),
+    ("cf-random", 64, None): ("0x1.44b9ffe7c4a8ep-3", "0x1.50af7313d65e0p-35"),
+    ("cf-random", 512, None): ("0x1.44ec523afaa5ep-3", "0x1.14781d8aa7a83p-35"),
+    ("cf-random", 4096, None): ("0x1.44ed08ba17542p-3", "0x1.3db3c0621e2c6p-35"),
 }
 
 # heavy tails, in the style of ORACLE_PINS: negative_probability(weights, shapes,
@@ -78,8 +81,8 @@ ORACLE_PINS = {
 # the CF scan runs far past its first scan (the nodes a normal X needs): 2653 nodes
 # after a first scan of 24, and 6127 after 21.  They pin how the scan continues.
 HEAVY_TAIL_PINS = {
-    ((2.0, 0.7, -1.3), (1.0, 1.0, 1.0), 1e-8): ("0x1.0634c08e30235p-2", "0x1.5772c55a17b5bp-28"),
-    ((3.0, 1.0, -0.5, -2.0), (0.5,) * 4, 1e-6): ("0x1.8b5f7db017bf4p-2", "0x1.0c659f910a82ap-21"),
+    ((2.0, 0.7, -1.3), (1.0, 1.0, 1.0), 1e-8): ("0x1.0634c08e30235p-2", "0x1.5772df3fa5cdep-28"),
+    ((3.0, 1.0, -0.5, -2.0), (0.5,) * 4, 1e-6): ("0x1.8b5f7db017bf4p-2", "0x1.0c659fd3e1332p-21"),
 }
 
 # the two-block points of the benchmark's oracle grid: N = 2 ... 16384, k = 1 and N/2
@@ -232,6 +235,7 @@ class TestCfInversion:
     @pytest.mark.parametrize("call", [
         lambda: cf_inversion_exact(two_block_spectrum(4, 1)),
         lambda: cf_inversion_exact(KernelSelector.random(11).build(64)),
+        lambda: cf_inversion_exact(KernelSelector.random(11).build(512)),
         # far past the first scan: 2699 nodes after 29, 2653 after 24, 6127 after 21
         lambda: cf_inversion_exact(two_block_spectrum(2, 1)),
         lambda: negative_probability((2.0, 0.7, -1.3), (1.0, 1.0, 1.0), tol=1e-8),
@@ -241,7 +245,8 @@ class TestCfInversion:
                                      (2.0, 3.0, 1.5, 4.0, 0.7, 2.5, 1.0)),
         lambda: negative_probability((1.0, 0.6, 0.3, 0.1, -0.2, -0.5, -0.9, -1.1),
                                      (2.0, 3.0, 1.5, 5.0, 4.0, 0.7, 2.5, 1.0)),
-    ], ids=["two-block", "random", "two-block-2-1", "heavy-three", "heavy-four", "seven", "eight"])
+    ], ids=["two-block", "random", "random-512", "two-block-2-1", "heavy-three", "heavy-four",
+            "seven", "eight"])
     def test_block_size_does_not_change_result(self, call, monkeypatch):
         blocked = call()
         monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", 1)  # one node a block
@@ -374,6 +379,102 @@ class TestCfScan:
         for top2 in (1e-8, 0.01, 0.3, 0.5, 0.9, 1.0):
             envelope = [oracles._envelope(float(x), top2) for x in u]
             assert all(a > b for a, b in zip(envelope, envelope[1:]) if b > 0.0)
+
+
+class TestCfSeries:
+    """From 8 weights a term on, and where every |z_j| stays small over the first scan,
+    that scan sums log phi's power series in the power sums S_p instead of the grid."""
+
+    @pytest.mark.parametrize("n,depth", [(1, 0), (7, 6), (8, 3), (128, 18), (4096, 23)])
+    def test_sum_depth(self, n, depth):
+        """numpy adds fewer than 8 terms in turn, up to 128 on 8 accumulators and then in
+        3 levels, and halves longer runs."""
+        assert oracles._sum_depth(n) == depth
+
+    @staticmethod
+    def _both(call, monkeypatch):
+        """The call's result or error message, with the series and with the grid forced."""
+        def run():
+            try:
+                return call()
+            except ConvergenceError as exc:
+                return str(exc)
+        series = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles, "_WEIGHTS_PER_TERM", 1 << 62)
+            grid = run()
+        return series, grid
+
+    @staticmethod
+    def _agree(series, grid, tol=1e-10):
+        """Both raise, or both answer alike.  The two bounds differ by a few percent, so
+        where tol lies between them one answers and the other raises."""
+        if isinstance(series, str) or isinstance(grid, str):
+            answered = grid if isinstance(series, str) else series
+            assert isinstance(answered, str) or answered.estimated_abs_error > 0.9 * tol
+            return 0
+        ds, dg = series.diagnostics, grid.diagnostics
+        assert dg["series_terms"] == 0 and dg["series"] == 0.0
+        assert ds["K"] == dg["K"] and ds["rounds"] == dg["rounds"]
+        bound = series.estimated_abs_error + grid.estimated_abs_error
+        assert abs(series.value - grid.value) <= bound
+        bounds = ("aliasing", "truncation", "roundoff", "series")
+        assert sum(ds[key] for key in bounds) == series.estimated_abs_error
+        return ds["series_terms"]
+
+    @pytest.mark.parametrize("n", [512, 1024, 4096, 16384])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_kernels_match_the_grid(self, n, seed, monkeypatch):
+        spectrum = random_spectrum(n, np.random.default_rng(seed))
+        series, grid = self._both(lambda: cf_inversion_exact(spectrum), monkeypatch)
+        assert self._agree(series, grid) > 0
+        assert 0.0 < series.diagnostics["series"] < 1e-14
+
+    def test_seeded_draws_match_the_grid(self, monkeypatch):
+        """100 draws of 256 to 2048 weights, shapes 0.5 to 1e4 and tol 1e-13 to 1e-8:
+        the same answer or the same raise, K and rounds alike, values within both bounds;
+        most take the series, and some raise either way."""
+        rng = np.random.default_rng(23)
+        taken = raised = 0
+        for _ in range(100):
+            m = int(rng.integers(256, 2049))
+            w = rng.standard_normal(m)
+            w[0], w[1] = abs(w[0]), -abs(w[1])
+            s = np.exp(rng.uniform(math.log(0.5), math.log(1e4), m))
+            tol = float(10.0 ** rng.uniform(-13, -8))
+            series, grid = self._both(lambda: negative_probability(w, s, tol), monkeypatch)
+            taken += self._agree(series, grid, tol) > 0
+            raised += isinstance(series, str) and isinstance(grid, str)
+        assert taken >= 70 and raised >= 5
+
+    def test_few_weights_a_term_keep_the_grid(self):
+        """N = 64 needs over 30 terms, more than 64 / 8 weights a term allow."""
+        d = cf_inversion_exact(random_spectrum(64, np.random.default_rng(0))).diagnostics
+        assert d["series_terms"] == 0 and d["series"] == 0.0
+
+    def test_sum_against_40_digits(self):
+        """At N = 512, the node sum at 40 digits, at the same nodes and scaled weights,
+        lies within roundoff + series of the computed value, and the truncation bound
+        covers the exact |phi(u_K)| / (pi gamma(u_K))."""
+        mpmath = pytest.importorskip("mpmath")
+        spectrum = KernelSelector.random(11).build(512)
+        res = cf_inversion_exact(spectrum)
+        d = res.diagnostics
+        assert d["series_terms"] > 0
+        v = (spectrum.values / d["sigma"]).tolist()
+        s = spectrum.shapes.tolist()
+        step = 2.0 * math.pi / d["L"]
+        with mpmath.workdps(40):
+            total = 0
+            for k in range(d["K"] + 1):
+                u = mpmath.mpf((k + 0.5) * step)
+                log_phi = -mpmath.fsum(sj * mpmath.log(1 - 1j * mpmath.mpf(vj) * u)
+                                       for vj, sj in zip(v, s))
+                total += mpmath.im(mpmath.exp(log_phi)) / (mpmath.pi * (k + 0.5))
+            slope = mpmath.fsum(sj * (vj * u) ** 2 / (1 + (vj * u) ** 2) for vj, sj in zip(v, s))
+            tail = mpmath.exp(mpmath.re(log_phi)) / (mpmath.pi * slope)
+            assert abs(res.value - (mpmath.mpf(0.5) - total)) <= d["roundoff"] + d["series"]
+            assert d["truncation"] >= tail
 
 
 class TestNegativeProbability:
