@@ -25,11 +25,12 @@ The CF inversion is Davies' half-offset trapezoid rule (Davies 1973,
 Biometrika 60; Algorithm AS 155, 1980) on the unit-variance variable
 X = S / sigma, so its nodes are spaced alike at every N.  Its reported error
 is the sum of explicit bounds: aliasing, from Bernstein tails of X;
-truncation, from the power-law envelope of the characteristic function;
+truncation, from the decay of the characteristic function past the last node;
 roundoff, from the size of the phase sums and the depth of numpy's pairwise
-sums; and, where the first scan sums a power series, that series' tail.  A
-closed-form envelope of |phi| sizes its first scan of nodes, so that one scan
-finds the truncation point unless the tail is heavy.  Where the weights are
+sums; and, where the first scan sums a power series, that series' tail.  One
+closed-form envelope of the truncation bound sizes the first scan; where the
+tail is heavier, a node cap is checked once and the scan goes on in blocks.
+Where the weights are
 many and every |w_j u| / sigma stays small over that scan, log phi is a power
 series in u whose coefficients are the power sums sum_j s_j (w_j / sigma)^p,
 so the first scan costs one pass over the weights per term instead of one per
@@ -122,8 +123,8 @@ class OracleResult:
         The CF inversion gives ``sigma``, ``mean``, ``L``, ``K``, ``first_scan``
         (its length in nodes), ``nodes`` (all evaluated, the cap probe
         included; a scan of the grid stops at the end of the block that holds
-        K, so this follows the block size), ``rounds`` (scans, the cap probe
-        included), ``series_terms`` (the power series' terms P if the first
+        K, so this follows the block size), ``series_terms`` (the power
+        series' terms P if the first
         scan summed it, else 0) and the ``aliasing``, ``truncation``,
         ``roundoff`` and ``series`` bounds, which sum to the error; through
         :func:`negative_probability`, ``sigma`` is that of the weights scaled so
@@ -303,7 +304,7 @@ def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleRe
     rho = m u.  The series runs where, at the first scan's last node,
     rho <= 1/2 and the smallest P with T <= 2^-60 leaves at least 8 weights a
     term; it costs P products and sums over the weights, then one small
-    matrix product for all nodes of the scan.  Every later round takes the
+    matrix product for all nodes of the scan.  Any scan past it takes the
     grid, as does every input with fewer than 16 weights.  The error is
     bounded by four terms, whose sum must not exceed ``tol``:
 
@@ -325,18 +326,17 @@ def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleRe
       summed terms; 0 where the grid ran.
 
     K is the first node, scanned from 0, where the computed truncation bound
-    passes.  The first scan covers the nodes a normal X needs, or more where
-    a closed-form envelope of the truncation bound shows that these fall
-    short: with v_j = w_j / sigma and m^2 = max_j v_j^2, |phi(u)| is at most
-    (1 + m^2 u^2)^(-1/(2 m^2)) and gamma at least u^2 / (1 + m^2 u^2).  If the
-    envelope passes within 16 times the normal scan, the first scan runs to
-    its first passing node, which cannot come before K save by rounding, and
-    a single scan finds K for every input whose tail is not heavy.  Should
-    the first scan fall short, the truncation bound at a fixed node cap is
-    checked once, before any node past that scan: ConvergenceError is raised
-    if even the cap fails.  Each later round scans on to the node where the
-    power law of the last failed node, (u_K / u)^gamma, reaches tol/4, at most
-    16 times as many nodes as scanned so far.  ConvergenceError is also
+    passes.  One closed-form envelope of that bound sizes the first scan: with
+    v_j = w_j / sigma and m^2 = max_j v_j^2, |phi(u)| is at most
+    (1 + m^2 u^2)^(-1/(2 m^2)) and gamma at least u^2 / (1 + m^2 u^2).  Where
+    it fails at the last of the nodes a normal X needs, the first scan runs to
+    its first passing node, bracketed 16 times at a time up to a fixed node cap
+    and bisected; that cannot come before K save by rounding.  Where it fails
+    even at the cap, the first scan keeps the nodes a normal X needs.  Should
+    the first scan fall short, the bound at the cap is checked once, before any
+    node past that scan, and ConvergenceError is raised if it fails; else the
+    grid scans on in blocks to the first passing node, which comes by the cap,
+    as a node's value does not depend on its block.  ConvergenceError is also
     raised when the sum of the bounds exceeds ``tol``.  The result's
     ``diagnostics`` say what the scan did.
 
@@ -472,7 +472,7 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
     axis, weighting = (2, shapes) if by_node else (1, shapes[:, None])
 
     def nodes(first: int, stop: int) -> tuple[np.ndarray, ...]:
-        """Term, rounding size, truncation bound and slope at nodes first..stop-1.
+        """Term, rounding size and truncation bound at nodes first..stop-1.
 
         Four sums over the weights give them: of log1p(z^2), z^2 / (1 + z^2),
         arctan z and |arctan z| times s_j over z = w u / sigma.  On a first scan
@@ -506,8 +506,11 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
         log_mod = -0.5 * log_size
         mod = np.exp(log_mod)
         scale = mod / (math.pi * half)
-        return (scale * np.sin(phase), scale * (1.0 + phase_size - log_mod),
-                mod / (math.pi * slope), slope)
+        term, rounding = scale * np.sin(phase), scale * (1.0 + phase_size - log_mod)
+        if slope[0] > 1e-300:  # the slope grows with u, so no bound in the block overflows
+            return term, rounding, mod / (math.pi * slope)
+        with np.errstate(divide="ignore", over="ignore"):  # z^2 underflows: the bound fails
+            return term, rounding, mod / (math.pi * slope)
 
     def failure(last: int, trunc: float, roundoff: float) -> ConvergenceError:
         return ConvergenceError(
@@ -520,20 +523,22 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
     # aliasing term's, so u >= sqrt(2 log 4) and a node is scanned
     scan_to = math.sqrt(2.0 * math.log(4.0 / min(tol, 1.0)))
     stop = min(math.ceil(scan_to / step), _MAX_NODES)
-    # where the closed-form envelope still fails at the normal scan's last node but passes
-    # within 16x as many nodes, the first scan runs on to its first passing node; it bounds
-    # the computed one from above, so K passes no later, save by rounding, which costs a round
+    # where the closed-form envelope fails at the normal scan's last node, the first scan runs
+    # on to its first passing node: bracketed 16x at a time up to the cap, then bisected.  It
+    # bounds the computed bound from above, so K passes no later, save by rounding
     top2 = max(top * top, bottom * bottom)
-    reach = min(16 * stop, _MAX_NODES)
-    if not _envelope((stop - 0.5) * step, top2) <= target \
-            and _envelope((reach - 0.5) * step, top2) <= target:
-        while reach - stop > 1:
-            mid = (stop + reach) // 2
-            stop, reach = (stop, mid) if _envelope((mid - 0.5) * step, top2) <= target else (mid, reach)
-        stop = reach
+    if not _envelope((stop - 0.5) * step, top2) <= target:
+        low, reach = stop, min(16 * stop, _MAX_NODES)
+        while not (found := _envelope((reach - 0.5) * step, top2) <= target) and reach < _MAX_NODES:
+            low, reach = reach, min(16 * reach, _MAX_NODES)
+        if found:
+            while reach - low > 1:
+                mid = (low + reach) // 2
+                low, reach = (low, mid) if _envelope((mid - 0.5) * step, top2) <= target else (mid, reach)
+            stop = reach
     first_scan = stop
     # where the series converges fast over the first scan and has enough weights a term,
-    # that scan sums it in one block; every later round, and every other input, takes the grid
+    # that scan sums it in one block; any scan past it, and every other input, takes the grid
     terms, block = 0, per_block
     if w.size > _WEIGHTS_PER_TERM:  # a series has two terms at least
         largest, u_last = max(top, -bottom), (stop - 0.5) * step
@@ -544,9 +549,8 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
     summed = terms > 0
     parts, sizes = [], []
     first = evaluated = 0
-    rounds = 1
     while True:
-        term, rounding, tail, slope = nodes(first, min(first + block, stop))
+        term, rounding, tail = nodes(first, min(first + block, stop))
         parts.append(term)
         sizes.append(rounding)
         evaluated += term.size
@@ -557,19 +561,13 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
             break
         first += term.size
         if first == stop:
-            summed, block = False, per_block
-            if stop == first_scan:  # a heavier tail than the first scan allowed for
-                cap = float(nodes(_MAX_NODES - 1, _MAX_NODES)[2][0])
-                evaluated += 1
-                rounds += 1
-                if not cap <= target:  # the envelope only falls, so no node up to the cap passes
-                    raise failure(_MAX_NODES - 1, cap, math.nan)
-            # the slope only grows, so past the failed node the bound falls at least as fast
-            # as its power law: scan on to where that reaches target, at most 16x as far
-            power = min(math.log(float(tail[-1]) / target) / float(slope[-1]), 50.0)
-            stop = min(max(math.ceil((first - 0.5) * math.exp(power) - 0.5), first) + 1,
-                       16 * first, _MAX_NODES)
-            rounds += 1
+            # a heavier tail than the envelope allows, or rounding; the bound only falls, so no
+            # node passes if the cap fails, and else one passes by the cap, in any block
+            summed, block, stop = False, per_block, _MAX_NODES
+            cap = float(nodes(_MAX_NODES - 1, _MAX_NODES)[2][0])
+            evaluated += 1
+            if not cap <= target:
+                raise failure(_MAX_NODES - 1, cap, math.nan)
     count = last + 1
     if len(parts) > 1:  # a one-block scan sums that block's arrays as they are
         term, rounding = np.concatenate(parts), np.concatenate(sizes)
@@ -589,9 +587,9 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
         method="cf-inversion",
         estimated_abs_error=est_err,
         diagnostics={"sigma": sigma, "mean": mean, "L": half_width, "K": last,
-                     "first_scan": first_scan, "nodes": evaluated, "rounds": rounds,
-                     "series_terms": terms, "aliasing": aliasing, "truncation": trunc,
-                     "roundoff": roundoff, "series": series},
+                     "first_scan": first_scan, "nodes": evaluated, "series_terms": terms,
+                     "aliasing": aliasing, "truncation": trunc, "roundoff": roundoff,
+                     "series": series},
     )
 
 

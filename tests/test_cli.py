@@ -317,7 +317,7 @@ class TestOracleCommand:
         payload = json.loads(out)
         assert set(payload) == {"value", "method", "estimated_abs_error", "diagnostics"}
         d = payload["diagnostics"]
-        assert d["series_terms"] > 0 and d["rounds"] == 1
+        assert d["series_terms"] > 0 and "rounds" not in d
         assert math.fsum(d[key] for key in ("aliasing", "truncation", "roundoff", "series")) \
             == pytest.approx(payload["estimated_abs_error"], rel=1e-15)
         code, out, _ = run_cli(capsys, *args)
