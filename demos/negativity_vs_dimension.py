@@ -4,7 +4,8 @@
 Estimates the probability that a random state has a negative quasi
 probability value at a fixed phase-space point, for the k=1 two-block
 kernel across a ladder of dimensions, and compares against the exact
-beta-function oracle.  The probability climbs toward the large-N limit
+beta-function oracle and against the O(N^-2) Edgeworth prediction from three
+power sums of the spectrum.  The probability climbs toward the large-N limit
 0.158655 remarkably fast.
 
 Writes negativity_vs_dimension.png next to this script when matplotlib
@@ -13,22 +14,29 @@ is importable; otherwise just prints the table.
 import argparse
 import pathlib
 
-from wignerlab import estimate_global, limit_quantumness, two_block_exact, two_block_spectrum
+from wignerlab import (
+    edgeworth_probability,
+    estimate_global,
+    limit_quantumness,
+    two_block_exact,
+    two_block_spectrum,
+)
 
 
 def run(trials, seed, workers):
     dims = [2, 4, 8, 16, 32, 64, 128, 256]
     rows = []
     print(f"{'N':>4s} {'p_hat':>10s} {'ci_low':>10s} {'ci_high':>10s} "
-          f"{'oracle':>12s} {'in band':>8s}")
+          f"{'oracle':>12s} {'predicted':>12s} {'in band':>8s}")
     for i, n in enumerate(dims):
-        est = estimate_global(two_block_spectrum(n, 1), trials, seed + i,
-                              workers=workers, z=3.0)
+        spectrum = two_block_spectrum(n, 1)
+        est = estimate_global(spectrum, trials, seed + i, workers=workers, z=3.0)
         oracle = two_block_exact(n, 1).value
+        predicted = edgeworth_probability(spectrum)
         inside = est.ci_low <= oracle <= est.ci_high
-        rows.append((n, est, oracle))
+        rows.append((n, est, oracle, predicted))
         print(f"{n:>4d} {est.p_hat:>10.6f} {est.ci_low:>10.6f} {est.ci_high:>10.6f} "
-              f"{oracle:>12.8f} {str(inside):>8s}")
+              f"{oracle:>12.8f} {predicted:>12.8f} {str(inside):>8s}")
     limit = limit_quantumness().value
     print(f"\nlarge-N limit: {limit:.12f}")
     print(f"gap at N=256:  {abs(rows[-1][2] - limit):.2e}")
@@ -43,15 +51,15 @@ def plot(rows, limit):
     except ImportError:
         print("matplotlib not available, skipping the figure")
         return
-    dims = [n for n, _, _ in rows]
-    p_hat = [e.p_hat for _, e, _ in rows]
-    err_lo = [e.p_hat - e.ci_low for _, e, _ in rows]
-    err_hi = [e.ci_high - e.p_hat for _, e, _ in rows]
-    oracle = [o for _, _, o in rows]
+    dims, estimates, oracle, predicted = zip(*rows)
+    p_hat = [e.p_hat for e in estimates]
+    err_lo = [e.p_hat - e.ci_low for e in estimates]
+    err_hi = [e.ci_high - e.p_hat for e in estimates]
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.errorbar(dims, p_hat, yerr=[err_lo, err_hi], fmt="o", capsize=3,
                 label="Monte Carlo (3-sigma)")
     ax.plot(dims, oracle, "-", lw=1, label="exact oracle")
+    ax.plot(dims, predicted, ":", lw=1.5, label="Edgeworth, O(N^-2)")
     ax.axhline(limit, color="gray", ls="--", lw=1, label="large-N limit")
     ax.set_xscale("log", base=2)
     ax.set_xlabel("dimension N")

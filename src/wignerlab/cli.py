@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .kernels import KernelSpectrum, _integer, _real, master_residuals, moments
+from .kernels import KernelSpectrum, _integer, _real, master_residuals
 from .montecarlo import (
     METHODS,
     KernelSelector,
@@ -34,6 +34,7 @@ from .oracles import (
     OracleResult,
     cf_inversion_exact,
     clt_probability,
+    edgeworth_probability,
     limit_quantumness,
     two_block_exact,
 )
@@ -147,14 +148,14 @@ def _cmd_kernel(args) -> int:
     selector = _selector_from_args(args)
     spectrum = selector.build(args.n)
     r1, r2 = master_residuals(spectrum)
-    mom = moments(spectrum)
+    predicted = edgeworth_probability(spectrum)
     if args.format == "json":
         payload = {
             "dimension": spectrum.dimension,
             "label": spectrum.label,
             "eigenvalues": [[v, m] for v, m in spectrum.eigenvalues],
             "residuals": {"trace": r1, "square_trace": r2},
-            "moments": asdict(mom),
+            "predicted": predicted,
         }
         _emit(json.dumps(payload, indent=2), args.out)
         return 0
@@ -165,9 +166,7 @@ def _cmd_kernel(args) -> int:
     ]
     lines.extend(f"    {v!r} x {m}" for v, m in spectrum.eigenvalues)
     lines.append(f"residuals      trace {r1:.3e}, square-trace {r2:.3e}")
-    lines.append(f"moments        pos_sum={mom.pos_sum!r} neg_abs_sum={mom.neg_abs_sum!r}")
-    lines.append(f"               pos_sq_sum={mom.pos_sq_sum!r} neg_sq_sum={mom.neg_sq_sum!r}")
-    lines.append(f"               num_nonneg={mom.num_nonneg} sigma_ratio={mom.sigma_ratio!r}")
+    lines.append(f"predicted      {predicted!r}")
     _emit("\n".join(lines), args.out)
     return 0
 
@@ -288,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "phase-space kernels of N-level systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_kernel = sub.add_parser("kernel", help="print a kernel spectrum with residuals and moments")
+    p_kernel = sub.add_parser("kernel", help="print a kernel spectrum, its constraint residuals "
+                                             "and its predicted negativity probability")
     p_kernel.add_argument("--n", type=int, required=True, metavar="N")
     _add_family_flags(p_kernel)
     _add_output_flags(p_kernel, ("pretty", "json"))

@@ -12,8 +12,7 @@ Every admissible spectrum has at least one negative eigenvalue, since
 otherwise sum pi_i^2 <= (sum pi_i)^2 = 1 < N.  The constraints leave an
 (N-2)-parameter family; this module provides the two-block solutions (two
 distinct eigenvalues with multiplicities N-k and k), generic random
-solutions, and the derived moment quantities that control the large-N
-behaviour of the negativity probability.
+solutions and the residuals of the trace constraints.
 
 A spectrum is built one way, ``KernelSpectrum(dimension, values,
 multiplicities, label)``, a frozen dataclass compared by identity.
@@ -28,12 +27,10 @@ import numpy as np
 
 __all__ = [
     "KernelSpectrum",
-    "KernelMoments",
     "spectrum_from_values",
     "two_block_spectrum",
     "random_spectrum",
     "master_residuals",
-    "moments",
 ]
 
 # eigenvalues closer than this are merged into one multiplicity block
@@ -159,24 +156,6 @@ class KernelSpectrum:
         return self
 
 
-@dataclass(frozen=True)
-class KernelMoments:
-    """Split moments of a kernel spectrum, grouped by eigenvalue sign.
-
-    `sigma_ratio` is sqrt((N - pos_sq_sum)/pos_sq_sum), the ratio of the
-    negative block's Gaussian scale to the positive block's in the
-    central-limit regime; the limiting negativity probability is constant
-    in it.
-    """
-
-    pos_sum: float
-    neg_abs_sum: float
-    pos_sq_sum: float
-    neg_sq_sum: float
-    num_nonneg: int
-    sigma_ratio: float
-
-
 def spectrum_from_values(values, label: str = "") -> KernelSpectrum:
     """Build a spectrum from a flat sequence of N eigenvalues.
 
@@ -270,28 +249,3 @@ def master_residuals(spectrum: KernelSpectrum) -> tuple[float, float]:
     r2 = float(m @ (v * v) - spectrum.dimension)
     return r1, r2
 
-
-def moments(spectrum: KernelSpectrum) -> KernelMoments:
-    """Sign-split moments of a spectrum.
-
-    For spectra satisfying the trace constraints, pos_sum - neg_abs_sum = 1
-    and pos_sq_sum + neg_sq_sum = N.
-    """
-    v = spectrum.values
-    m = spectrum.multiplicities.astype(float)
-    nonneg = v >= 0.0
-    pos_sum = float(m[nonneg] @ v[nonneg])
-    neg_abs_sum = float(-(m[~nonneg] @ v[~nonneg]))
-    pos_sq_sum = float(m[nonneg] @ (v[nonneg] ** 2))
-    neg_sq_sum = float(m[~nonneg] @ (v[~nonneg] ** 2))
-    if pos_sq_sum <= 0.0:
-        raise ValueError("spectrum has no non-negative eigenvalue")
-    sigma_ratio = math.sqrt(max(spectrum.dimension - pos_sq_sum, 0.0) / pos_sq_sum)
-    return KernelMoments(
-        pos_sum=pos_sum,
-        neg_abs_sum=neg_abs_sum,
-        pos_sq_sum=pos_sq_sum,
-        neg_sq_sum=neg_sq_sum,
-        num_nonneg=int(spectrum.multiplicities[nonneg].sum()),
-        sigma_ratio=sigma_ratio,
-    )

@@ -11,7 +11,7 @@ import pytest
 
 from wignerlab import montecarlo
 from wignerlab.cli import CSV_COLUMNS, load_state_file, main
-from wignerlab.oracles import two_block_exact
+from wignerlab.oracles import edgeworth_probability, two_block_exact
 
 LIMIT = 0.15865525393145705
 BETA = ["--n", "3", "--two-block", "1"]
@@ -47,8 +47,9 @@ class TestKernelCommand:
         assert payload["dimension"] == 3
         assert abs(payload["residuals"]["trace"]) < 1e-10
         assert sum(m for _, m in payload["eigenvalues"]) == 3
-        assert set(payload["moments"]) == {
-            "pos_sum", "neg_abs_sum", "pos_sq_sum", "neg_sq_sum", "num_nonneg", "sigma_ratio"}
+        assert set(payload) == {"dimension", "label", "eigenvalues", "residuals", "predicted"}
+        spectrum = montecarlo.KernelSelector.random(4).build(3)
+        assert payload["predicted"] == edgeworth_probability(spectrum)
 
     # exact output of one command per kernel family, whatever form a spectrum is stored in
     PINNED = {
@@ -57,8 +58,7 @@ class TestKernelCommand:
             "label": "two-block k=2",
             "eigenvalues": [[1.0, 3], [-1.0, 2]],
             "residuals": {"trace": 0.0, "square_trace": 0.0},
-            "moments": {"pos_sum": 3.0, "neg_abs_sum": 2.0, "pos_sq_sum": 3.0,
-                        "neg_sq_sum": 2.0, "num_nonneg": 3, "sigma_ratio": 0.816496580927726},
+            "predicted": 0.15359616587072558,
         },
         ("--random", "7", "--n", "7"): {
             "dimension": 7,
@@ -68,9 +68,7 @@ class TestKernelCommand:
                             [0.43225090732765126, 1], [-0.47896023497794865, 1],
                             [-1.9921975031279557, 1]],
             "residuals": {"trace": 0.0, "square_trace": 0.0},
-            "moments": {"pos_sum": 3.4711577381059042, "neg_abs_sum": 2.4711577381059042,
-                        "pos_sq_sum": 2.8017462018406065, "neg_sq_sum": 4.198253798159393,
-                        "num_nonneg": 5, "sigma_ratio": 1.224108599322715},
+            "predicted": 0.15363271172305096,
         },
     }
 
@@ -82,16 +80,13 @@ class TestKernelCommand:
         assert out == json.dumps(expected, indent=2) + "\n"
         code, out, _ = run_cli(capsys, "kernel", *family, "--format", "pretty")
         assert code == 0
-        mom = expected["moments"]
         assert out.splitlines() == [
             f"dimension      {expected['dimension']}",
             f"label          {expected['label']}",
             "eigenvalues    (value x multiplicity)",
             *(f"    {v!r} x {m}" for v, m in expected["eigenvalues"]),
             "residuals      trace 0.000e+00, square-trace 0.000e+00",
-            f"moments        pos_sum={mom['pos_sum']!r} neg_abs_sum={mom['neg_abs_sum']!r}",
-            f"               pos_sq_sum={mom['pos_sq_sum']!r} neg_sq_sum={mom['neg_sq_sum']!r}",
-            f"               num_nonneg={mom['num_nonneg']} sigma_ratio={mom['sigma_ratio']!r}",
+            f"predicted      {expected['predicted']!r}",
         ]
 
     def test_dimension_validation(self, capsys):

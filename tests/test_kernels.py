@@ -9,7 +9,6 @@ from wignerlab.kernels import (
     MERGE_TOL,
     KernelSpectrum,
     master_residuals,
-    moments,
     random_spectrum,
     spectrum_from_values,
     two_block_spectrum,
@@ -179,8 +178,7 @@ class TestSpectrumStructure:
 
     @pytest.mark.parametrize("call,fragment", [
         (lambda: spectrum_from_values([1.0]), "need at least two eigenvalues"),
-        (lambda: moments(KernelSpectrum(2, [-0.5, -1.5], [1, 1])), "no non-negative eigenvalue"),
-    ], ids=["one-value", "no-nonnegative"])
+    ], ids=["one-value"])
     def test_unusable_spectra_rejected(self, call, fragment):
         with pytest.raises(ValueError, match=fragment):
             call()
@@ -332,25 +330,3 @@ class TestSpectrumObject:
             with pytest.raises(ValueError, match="sum to the dimension"):
                 clone(forged)
 
-
-class TestMoments:
-    def test_two_block_2_1(self):
-        mom = moments(two_block_spectrum(2, 1))
-        assert mom.pos_sum == pytest.approx(1.3660254037844386, abs=1e-13)
-        assert mom.neg_abs_sum == pytest.approx(0.36602540378443865, abs=1e-13)
-        assert mom.pos_sq_sum == pytest.approx(1.8660254037844386, abs=1e-13)
-        assert mom.neg_sq_sum == pytest.approx(0.13397459621556135, abs=1e-13)
-        assert mom.num_nonneg == 1
-        assert mom.sigma_ratio == pytest.approx(0.2679491924311227, abs=1e-13)
-
-    def test_sum_identities(self):
-        """pos_sum - neg_abs_sum = 1 and pos_sq_sum + neg_sq_sum = N for any
-        admissible spectrum."""
-        rng = np.random.default_rng(8)
-        for spec in (two_block_spectrum(9, 3), random_spectrum(12, rng)):
-            mom = moments(spec)
-            assert mom.pos_sum - mom.neg_abs_sum == pytest.approx(1.0, abs=1e-10)
-            assert mom.pos_sq_sum + mom.neg_sq_sum == pytest.approx(spec.dimension, abs=1e-9)
-
-    def test_counts_nonnegative_block(self):
-        assert moments(two_block_spectrum(7, 2)).num_nonneg == 5

@@ -18,6 +18,7 @@ from wignerlab.oracles import (
     OracleResult,
     cf_inversion_exact,
     clt_probability,
+    edgeworth_probability,
     limit_quantumness,
     negative_probability,
     two_block_exact,
@@ -86,6 +87,11 @@ HEAVY_TAIL_PINS = {
     ((2.0, 0.7, -1.3), (1.0, 1.0, 1.0), 1e-8): ("0x1.0634c08e30235p-2", "0x1.5772df3fa5cdep-28"),
     ((3.0, 1.0, -0.5, -2.0), (0.5,) * 4, 1e-6): ("0x1.8b5f7db017bf4p-2", "0x1.0c659fd3e1332p-21"),
 }
+
+# zero weights beside two of opposite sign, as (weights, shapes, tol): unit weights, whose
+# answer is 1/2, and the N = 3 kernel (phi, 0, -1/phi), phi the golden ratio
+ZERO_WEIGHTS = [((1.0, 0.0, -1.0), (1.0, 1.0, 1.0), 1e-10),
+                ((0.5 + 0.5 * math.sqrt(5.0), 0.0, 0.5 - 0.5 * math.sqrt(5.0)), (3.0,) * 3, 1e-10)]
 
 # the two-block points of the benchmark's oracle grid: N = 2 ... 16384, k = 1 and N/2
 GRID_TWO_BLOCK = sorted({(2**e, k) for e in range(1, 15) for k in (1, 2**e // 2)})
@@ -538,8 +544,8 @@ class TestNegativeProbability:
 
     @pytest.mark.parametrize("weights,shapes,tol", [
         ((3.0, -1.0), (3.0, 5.0), 1e-10), ((2.0, -1.0, 1.0), (1.0, 2.0, 3.0), 1e-10),
-        *HEAVY_TAIL_PINS,
-    ], ids=["beta", "cf", "heavy-three", "heavy-four"])
+        *HEAVY_TAIL_PINS, *ZERO_WEIGHTS,
+    ], ids=["beta", "cf", "heavy-three", "heavy-four", "zero-weight", "zero-kernel"])
     @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
     def test_same_answer_at_every_weight_scale(self, weights, shapes, tol, k):
         """P(S < 0) does not change when w is scaled by 2^k; sigma^2 used to overflow
@@ -559,11 +565,21 @@ class TestNegativeProbability:
         ((1.0, -1.0), (1.0, 2.0), math.nan, "tol"),
         ((1.0, -1.0), (1.0, 2.0), 0.0, "tol"),
         ((1e300, -1e-30), (1.0, 1.0), 1e-10, "underflow"),
+        ((1.0, 0.0, -1.0), (1.0, 0.0, 1.0), 1e-10, "shapes"),
     ], ids=["lengths", "nan-weight", "inf-weight", "zero-shape", "negative-shape", "nan-shape",
-            "one-sign", "two-dimensional", "nan-tol", "zero-tol", "underflowing-weight"])
+            "one-sign", "two-dimensional", "nan-tol", "zero-tol", "underflowing-weight",
+            "zero-weight-zero-shape"])
     def test_invalid_inputs(self, weights, shapes, tol, fragment):
         with pytest.raises(ValueError, match=fragment):
             negative_probability(weights, shapes, tol)
+
+    @pytest.mark.parametrize("weights,shapes,tol", ZERO_WEIGHTS, ids=["zero-weight", "zero-kernel"])
+    def test_zero_weights_drop_out(self, weights, shapes, tol):
+        """0 G(s) adds nothing: a zero weight and its shape leave the route and the answer
+        to the other weights, here two, so the beta form answers."""
+        res = negative_probability(weights, shapes, tol)
+        assert res.method == "beta-closed-form"
+        assert res == negative_probability(weights[::2], shapes[::2], tol)
 
     @pytest.mark.parametrize("tol", [4.0, 10.0, math.inf, pytest.param(10**400, id="int-1e400")])
     def test_loose_tolerance_is_met(self, tol):
@@ -688,41 +704,40 @@ class TestCltQuadrature:
             clt_probability(1.0, tol=1e-16)
 
 
-def _second_order(spectrum: KernelSpectrum) -> float:
-    """1 - Phi(1) - phi(1) (g2 - g1^2) / 12, the Edgeworth series of P_N at x = -1 to
-    second order, with g1 = 2 sum m pi^3 / N^2 and g2 = 6 sum m pi^4 / N^3.  The
-    trace constraints make E S / sigma(S) = 1, so the skewness term, a multiple of
-    He2(-1) = 0, vanishes, and the gap to the limit is O(1/N)."""
-    n, pi = spectrum.dimension, spectrum.values
-    m = spectrum.multiplicities.astype(float)
-    g1 = 2.0 * float(m @ pi**3) / n**2
-    g2 = 6.0 * float(m @ pi**4) / n**3
-    return LIMIT - math.exp(-0.5) / math.sqrt(2.0 * math.pi) * (g2 - g1 * g1) / 12.0
-
-
 class TestFiniteDimensionRate:
-    """The exact oracles approach 1 - Phi(1) at the rate the second-order term gives."""
+    """The exact oracles approach 1 - Phi(1) at the rate edgeworth_probability gives."""
 
     @pytest.mark.parametrize("n", [2**e for e in range(6, 15)])
     def test_single_negative_level(self, n):
-        """k = 1: the residual is O(N^-1.5), 0.026-0.029 times N^-1.5 here."""
+        """k = 1: the residual is O(N^-2), -0.0193 to -0.0212 times N^-2 here."""
         res = two_block_exact(n, 1)
-        residual = res.value - _second_order(two_block_spectrum(n, 1))
-        assert 0.0 < residual * n**1.5 <= 0.03
+        residual = res.value - edgeworth_probability(two_block_spectrum(n, 1))
+        assert -0.022 <= residual * n**2 <= -0.019
+
+    @pytest.mark.parametrize("n", [2**e for e in range(16, 27, 2)])
+    def test_single_negative_level_past_16384(self, n):
+        """k = 1 up to N = 2^26: the beta route stays within its bound of the prediction,
+        whose own residual, about 0.021/N^2, the 0.03/N^2 covers."""
+        res = two_block_exact(n, 1)
+        assert res.method == "beta-closed-form"
+        gap = abs(res.value - edgeworth_probability(two_block_spectrum(n, 1)))
+        assert gap <= res.estimated_abs_error + 0.03 / n**2
 
     @pytest.mark.parametrize("n", [2**e for e in range(3, 15)])
     def test_balanced_blocks(self, n):
-        """k = N/2: the residual is within 0.05/N^3 and the oracle's bound."""
+        """k = N/2: the residual is within 0.05/N^3 and the oracle's bound (at most
+        0.008/N^3 measured)."""
         res = two_block_exact(n, n // 2)
-        residual = res.value - _second_order(two_block_spectrum(n, n // 2))
+        residual = res.value - edgeworth_probability(two_block_spectrum(n, n // 2))
         assert abs(residual) <= 0.05 / n**3 + res.estimated_abs_error
 
     @pytest.mark.parametrize("n,seed", [(1024, 3), (1024, 17), (4096, 3), (4096, 17)])
     def test_random_kernels(self, n, seed):
-        """About 10^5 times sharper at N = 4096 than the 4/N^2 band of the limit."""
+        """About 10^5 times sharper at N = 4096 than the 4/N^2 band of the limit; the
+        residual lies inside the CF bound."""
         spectrum = random_spectrum(n, np.random.default_rng(seed))
         res = cf_inversion_exact(spectrum)
-        assert abs(res.value - _second_order(spectrum)) <= res.estimated_abs_error + 1.0 / n**3
+        assert abs(res.value - edgeworth_probability(spectrum)) <= res.estimated_abs_error + 1.0 / n**3
 
 
 @pytest.mark.parametrize("call", [
@@ -734,6 +749,7 @@ class TestFiniteDimensionRate:
     lambda: clt_probability("1"),
     lambda: clt_probability(True),
     lambda: clt_probability(1.0, tol=None),
+    lambda: edgeworth_probability(KernelSpectrum(2, [math.nan], [2])),
 ])
 def test_nan_inputs_rejected(call):
     """NaN, and for tol and t any non-number, bools among them, raise ValueError."""
