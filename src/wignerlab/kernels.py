@@ -36,6 +36,9 @@ __all__ = [
 # eigenvalues closer than this are merged into one multiplicity block
 MERGE_TOL = 1e-12
 
+# least bound on the trace constraints' residuals that KernelSpectrum.validate allows
+_TRACE_TOL = 1e-10
+
 _EPS = float(np.finfo(float).eps)
 
 
@@ -135,18 +138,18 @@ class KernelSpectrum:
         """All N eigenvalues in decreasing order, multiplicities unrolled."""
         return np.repeat(self.values, self.multiplicities)
 
-    def validate(self, tol: float = 1e-10) -> "KernelSpectrum":
-        """Raise ValueError unless both trace constraints hold within `tol`
-        and at least one eigenvalue is negative; NaN fails both checks.
+    def validate(self) -> "KernelSpectrum":
+        """Raise ValueError unless both trace constraints hold within 1e-10 or
+        eps N log2(N), whichever is larger, and at least one eigenvalue is
+        negative; NaN fails both checks.
 
         The residuals of a correctly built kernel grow like the rounding of
-        the sums over its N eigenvalues, so the check allows at least
-        eps N log2(N), which exceeds 1e-10 from N = 2**15 on.
+        the sums over its N eigenvalues, eps N log2(N), which exceeds 1e-10
+        from N = 2**15 on.
         """
         r1, r2 = master_residuals(self)
         n = self.dimension
-        # a NaN tol stays NaN: max keeps its first argument unless the second is larger
-        bound = max(tol, _EPS * n * math.log2(n))
+        bound = max(_TRACE_TOL, _EPS * n * math.log2(n))
         if not (abs(r1) <= bound and abs(r2) <= bound):
             raise ValueError(
                 f"trace constraints violated: residuals ({r1:.3e}, {r2:.3e}) exceed {bound:g}"

@@ -27,11 +27,15 @@ Biometrika 60; Algorithm AS 155, 1980) on the unit-variance variable
 X = S / sigma, so its nodes are spaced alike at every N.  Its reported error
 is the sum of explicit bounds: aliasing, from Bernstein tails of X;
 truncation, from the decay of the characteristic function past the last node;
-roundoff, from the size of the phase sums and the depth of numpy's pairwise
-sums; and, where the first scan sums a power series, that series' tail.  One
-closed-form envelope of the truncation bound sizes the first scan; where the
-tail is heavier, a node cap is checked once and the scan goes on in blocks.
-Where the weights are
+roundoff, from the size of the phase sums and the depth of the sums over
+weights and nodes; and, where the first scan sums a power series, that
+series' tail.  One closed-form envelope of the truncation bound sizes the
+first scan; where the tail is heavier, a node cap is checked once and the
+scan goes on in blocks.  Where the envelope passes within that scan and
+weights times nodes are at most 64, the first scan runs node by node on
+Python floats instead of the numpy grid and stops at its first passing node,
+as numpy's fixed cost a call would outweigh the work (at the default tol, the
+two-block kernels from N = 16 on, and N = 8 k = 4).  Where the weights are
 many and every |w_j u| / sigma stays small over that scan, log phi is a power
 series in u whose coefficients are the power sums sum_j s_j (w_j / sigma)^p,
 so the first scan costs one pass over the weights per term instead of one per
@@ -86,6 +90,11 @@ _WEIGHTS_PER_TERM = 8
 # which its length P is chosen; far below the rounding of any weight sum
 _SERIES_TAIL = 2.0**-60
 
+# weights times first-scan nodes up to which the CF route scans node by node on Python
+# floats; past it the grid's fixed cost per numpy call is the smaller (break-even in
+# CHANGES.md)
+_SCALAR_ELEMENTS = 64
+
 # trapezoid nodes past which the CF route raises instead of evaluating; the cap node
 # alone is checked, only once the first scan falls short, and before any node past
 # that scan is evaluated
@@ -124,11 +133,12 @@ class OracleResult:
         What the quadrature did, read-only; left out of equality and hashing.
         The CF inversion gives ``sigma``, ``mean``, ``L``, ``K``, ``first_scan``
         (its length in nodes), ``nodes`` (all evaluated, the cap probe
-        included; a scan of the grid stops at the end of the block that holds
-        K, so this follows the block size), ``series_terms`` (the power
-        series' terms P if the first
-        scan summed it, else 0) and the ``aliasing``, ``truncation``,
-        ``roundoff`` and ``series`` bounds, which sum to the error; through
+        included: K + 1 where the scalar first scan answered, as it stops at
+        K; a scan of the grid stops at the end of the block that holds K, so
+        there this follows the block size), ``series_terms`` (the power
+        series' terms P if the first scan summed it, else 0) and the
+        ``aliasing``, ``truncation``, ``roundoff`` and ``series`` bounds,
+        which sum to the error; through
         :func:`negative_probability`, ``sigma`` is that of the weights scaled so
         that the largest |w_j| lies in [1/2, 1).  The normal-reduction
         quadrature gives its ``quadrature``, ``truncation`` and ``roundoff``
@@ -222,8 +232,8 @@ def negative_probability(weights, shapes, tol: float = 1e-10) -> OracleResult:
     Parameters
     ----------
     weights : array_like
-        1-D and finite, with at least one positive and one negative entry; zeros
-        are allowed.
+        1-D, nonempty and finite, with at least one positive and one negative
+        entry; zeros are allowed.
     shapes : array_like
         1-D, as long as ``weights``, finite and positive.
     tol : float
@@ -244,8 +254,9 @@ def negative_probability(weights, shapes, tol: float = 1e-10) -> OracleResult:
 def _checked(weights, shapes, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
     w = np.asarray(weights, dtype=float)
     s = np.asarray(shapes, dtype=float)
-    if w.ndim != 1 or w.shape != s.shape:
-        raise ValueError(f"weights {w.shape} and shapes {s.shape} must be 1-D of equal length")
+    if w.ndim != 1 or w.shape != s.shape or not w.size:
+        raise ValueError(
+            f"weights {w.shape} and shapes {s.shape} must be 1-D of equal length, not empty")
     # the power of two that takes max |w_j| into [1/2, 1) scales exactly, so no sum of squares
     # overflows or underflows and ordinary scales are bit-identical; NaN and inf scale by 1
     top = max(w.max(), -w.min())
@@ -338,8 +349,17 @@ def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleRe
     rho <= 1/2 and the smallest P with T <= 2^-60 leaves at least 8 weights a
     term; it costs P products and sums over the weights, then one small
     matrix product for all nodes of the scan.  Any scan past it takes the
-    grid, as does every input with fewer than 16 weights.  The error is
-    bounded by four terms, whose sum must not exceed ``tol``:
+    grid, as does every input with fewer than 16 weights.
+
+    A small first scan runs on Python floats instead of either: where the
+    envelope below passes at the first scan's last node and the weights times
+    its nodes are at most 64, each node's four sums run over the weights in
+    turn, with the math module's log1p, atan, exp and sin, and the scan stops
+    at the first passing node, so ``diagnostics`` give ``nodes`` = K + 1.
+    numpy's fixed cost a call outweighs so little work; at the default tol the
+    two-block kernels from N = 16 on, and N = 8 k = 4, take this scan.  Should
+    rounding leave it with no passing node, the grid scans again from node 0.
+    The error is bounded by four terms, whose sum must not exceed ``tol``:
 
     * aliasing, at most P(X < -L) + P(X > L); L comes in closed form from the
       Bernstein tails of X - E X (variance 1, scale max w_j / sigma on the
@@ -351,12 +371,14 @@ def cf_inversion_exact(spectrum: KernelSpectrum, tol: float = 1e-10) -> OracleRe
       its bound stays an upper bound;
     * roundoff, eps times the size of the summed terms, phase sums
       sum_j s_j |arctan z_j| included, times 4 plus the depths of numpy's
-      pairwise sums over the weights and over the nodes.  For the series, the
-      size is its rounding bound: (p + D) eps A_p for each S_p, D the depth
-      over the weights, and (p + P + 2) eps |S_p| for its factor, power and
-      product;
+      pairwise sums over the weights and over the nodes.  The scalar scan
+      charges its own: W - 1 over the W weights, summed in turn, and 1 over
+      the nodes, whose terms math.fsum adds with one rounding.  For the
+      series, the size is its rounding bound: (p + D) eps A_p for each S_p,
+      D the depth over the weights, and (p + P + 2) eps |S_p| for its
+      factor, power and product;
     * series, expm1(T) at the first scan's last node times the size of the
-      summed terms; 0 where the grid ran.
+      summed terms; 0 where the grid or the scalar scan ran.
 
     K is the first node, scanned from 0, where the computed truncation bound
     passes.  One closed-form envelope of that bound sizes the first scan: with
@@ -489,6 +511,42 @@ def _series(v: np.ndarray, shapes: np.ndarray, terms: int, largest: float,
     return coefficients, u * u * ratio / (terms + 1)
 
 
+def _scalar_scan(pairs: list[tuple[float, float]], step: float, stop: int,
+                 target: float) -> tuple[int, float, float, float] | None:
+    """The CF route's first scan node by node on Python floats, for small scans.
+
+    The same four sums over the (w_j, s_j) ``pairs`` as the grid, in weight order, then
+    the term, rounding size and truncation bound, stopping at the first node up to
+    ``stop`` whose bound is at most ``target``.  Returns that node K, its bound, the
+    math.fsum of the terms at nodes 0..K and the sum of their sizes; None if no node
+    passes.
+    """
+    log1p, atan = math.log1p, math.atan
+    terms, size = [], 0.0
+    for k in range(stop):
+        half = k + 0.5
+        u = half * step
+        log_size = slope = phase = phase_size = 0.0
+        for w, s in pairs:
+            z = w * u
+            z2 = z * z
+            angle = atan(z)
+            log_size += s * log1p(z2)
+            slope += s * (z2 / (1.0 + z2))
+            phase += s * angle
+            phase_size += s * abs(angle)
+        log_mod = -0.5 * log_size
+        mod = math.exp(log_mod)
+        scale = mod / (math.pi * half)
+        terms.append(scale * math.sin(phase))
+        size += scale * (1.0 + phase_size - log_mod)
+        # z^2 underflows: the bound fails
+        tail = mod / (math.pi * slope) if slope > 0.0 else math.inf
+        if tail <= target:
+            return k, tail, math.fsum(terms), size
+    return None
+
+
 def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> OracleResult:
     sigma = math.sqrt(float(shapes @ (weights * weights)))
     w = weights / sigma
@@ -560,54 +618,73 @@ def _cf_inversion(weights: np.ndarray, shapes: np.ndarray, tol: float) -> Oracle
     # on to its first passing node: bracketed 16x at a time up to the cap, then bisected.  It
     # bounds the computed bound from above, so K passes no later, save by rounding
     top2 = max(top * top, bottom * bottom)
-    if not _envelope((stop - 0.5) * step, top2) <= target:
+    passes = _envelope((stop - 0.5) * step, top2) <= target
+    if not passes:
         low, reach = stop, min(16 * stop, _MAX_NODES)
-        while not (found := _envelope((reach - 0.5) * step, top2) <= target) and reach < _MAX_NODES:
+        while not (passes := _envelope((reach - 0.5) * step, top2) <= target) and reach < _MAX_NODES:
             low, reach = reach, min(16 * reach, _MAX_NODES)
-        if found:
+        if passes:
             while reach - low > 1:
                 mid = (low + reach) // 2
                 low, reach = (low, mid) if _envelope((mid - 0.5) * step, top2) <= target else (mid, reach)
             stop = reach
     first_scan = stop
-    # where the series converges fast over the first scan and has enough weights a term,
-    # that scan sums it in one block; any scan past it, and every other input, takes the grid
-    terms, block = 0, per_block
-    if w.size > _WEIGHTS_PER_TERM:  # a series has two terms at least
-        largest, u_last = max(top, -bottom), (stop - 0.5) * step
-        terms = _series_terms(largest, u_last, w.size // _WEIGHTS_PER_TERM)
-        if terms:
-            coefficients, series_tail = _series(w, shapes, terms, largest, u_last)
-            block = stop
-    summed = terms > 0
-    parts, sizes = [], []
-    first = evaluated = 0
-    while True:
-        term, rounding, tail = nodes(first, min(first + block, stop))
-        parts.append(term)
-        sizes.append(rounding)
-        evaluated += term.size
-        hit = (tail <= target).nonzero()[0]
-        if hit.size:
-            last = first + int(hit[0])
-            trunc = float(tail[hit[0]])
-            break
-        first += term.size
-        if first == stop:
-            # a heavier tail than the envelope allows, or rounding; the bound only falls, so no
-            # node passes if the cap fails, and else one passes by the cap, in any block
-            summed, block, stop = False, per_block, _MAX_NODES
-            cap = float(nodes(_MAX_NODES - 1, _MAX_NODES)[2][0])
-            evaluated += 1
-            if not cap <= target:
-                raise failure(_MAX_NODES - 1, cap, math.nan)
-    count = last + 1
-    if len(parts) > 1:  # a one-block scan sums that block's arrays as they are
-        term, rounding = np.concatenate(parts), np.concatenate(sizes)
-    value = 0.5 - float(term[:count].sum())
-    size = float(rounding[:count].sum())
-    # four roundings a phase term, and the depths of the pairwise sums over weights and nodes
-    roundoff = _EPS * (4 + _sum_depth(w.size) + _sum_depth(count)) * size
+    # a small first scan that the envelope bounds runs node by node on Python floats, where
+    # numpy's fixed cost a call would outweigh the work; should rounding leave it short of
+    # a passing node, it restarts on the grid
+    scalar = passes and w.size * stop <= _SCALAR_ELEMENTS
+    scan = (_scalar_scan(list(zip(w.tolist(), shapes.tolist())), step, stop, target)
+            if scalar else None)
+    terms = 0
+    if scan is not None:
+        last, trunc, total, size = scan
+        value, evaluated = 0.5 - total, last + 1
+        # W - 1 for the sums over the weights, which run in turn, and 1 for math.fsum's one
+        # rounding of the node sum
+        depth = w.size
+    else:
+        # where the series converges fast over the first scan and has enough weights a
+        # term, that scan sums it in one block; any scan past it, and every other input,
+        # takes the grid
+        block = per_block
+        if not scalar and w.size > _WEIGHTS_PER_TERM:  # a series has two terms at least
+            largest, u_last = max(top, -bottom), (stop - 0.5) * step
+            terms = _series_terms(largest, u_last, w.size // _WEIGHTS_PER_TERM)
+            if terms:
+                coefficients, series_tail = _series(w, shapes, terms, largest, u_last)
+                block = stop
+        summed = terms > 0
+        parts, sizes = [], []
+        first = 0
+        evaluated = stop if scalar else 0
+        while True:
+            term, rounding, tail = nodes(first, min(first + block, stop))
+            parts.append(term)
+            sizes.append(rounding)
+            evaluated += term.size
+            hit = (tail <= target).nonzero()[0]
+            if hit.size:
+                last = first + int(hit[0])
+                trunc = float(tail[hit[0]])
+                break
+            first += term.size
+            if first == stop:
+                # a heavier tail than the envelope allows, or rounding; the bound only falls, so
+                # no node passes if the cap fails, and else one passes by the cap, in any block
+                summed, block, stop = False, per_block, _MAX_NODES
+                cap = float(nodes(_MAX_NODES - 1, _MAX_NODES)[2][0])
+                evaluated += 1
+                if not cap <= target:
+                    raise failure(_MAX_NODES - 1, cap, math.nan)
+        count = last + 1
+        if len(parts) > 1:  # a one-block scan sums that block's arrays as they are
+            term, rounding = np.concatenate(parts), np.concatenate(sizes)
+        value = 0.5 - float(term[:count].sum())
+        size = float(rounding[:count].sum())
+        # the depths of numpy's pairwise sums over the weights and over the nodes
+        depth = _sum_depth(w.size) + _sum_depth(count)
+    # four roundings a phase term, and the depths of the sums
+    roundoff = _EPS * (4 + depth) * size
     # the series' truncation moves each term by at most expm1(T) times its modulus
     series = math.expm1(series_tail) * size if terms else 0.0
     est_err = aliasing + trunc + roundoff + series

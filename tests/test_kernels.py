@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from wignerlab import kernels
 from wignerlab.kernels import (
     MERGE_TOL,
     KernelSpectrum,
@@ -155,12 +156,13 @@ class TestSpectrumStructure:
         with pytest.raises(ValueError, match="trace constraints"):
             off.validate()
 
-    def test_validate_needs_a_negative_eigenvalue(self):
+    def test_validate_needs_a_negative_eigenvalue(self, monkeypatch):
         # sums to 1 and squares to N is impossible without a negative value,
         # so loosen the tolerance to isolate the sign check
         allpos = KernelSpectrum(2, [0.9, 0.1], [1, 1])
-        with pytest.raises(ValueError):
-            allpos.validate(tol=10.0)
+        monkeypatch.setattr(kernels, "_TRACE_TOL", 10.0)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            allpos.validate()
 
     @pytest.mark.parametrize("build,fragment", [
         (lambda: KernelSpectrum(2, [math.nan, math.nan], [1, 1]), "decreasing"),
@@ -169,7 +171,8 @@ class TestSpectrumStructure:
         (lambda: spectrum_from_values([1.0, 1.0 - 0.5e-12, math.nan, -2.0]), "decreasing"),
         (lambda: spectrum_from_values([math.nan, math.nan, 1.0]), "decreasing"),
         (lambda: KernelSpectrum(2, [math.nan], [2]), "trace constraints"),
-        (lambda: two_block_spectrum(2, 1).validate(tol=math.nan), "trace constraints"),
+        # at 2^20 the allowed residual is the eps N log2(N) floor, not 1e-10
+        (lambda: KernelSpectrum(2**20, [math.nan], [2**20]), "trace constraints"),
         (lambda: KernelSpectrum(math.nan, [1.0], [1]), "dimension must be"),
     ])
     def test_nan_fails_checks(self, build, fragment):
